@@ -6,10 +6,13 @@ first value) together with the witness indices, and the verdict kind is
 either ..._EVIDENCE, NO_EVIDENCE or INCONCLUSIVE.
 
 Soundness bookkeeping: a decay claim needs values that do not underestimate
-the true norms, so the decay channel refuses sequences tagged bracket-lower
-or computed from capped arithmetic; growth claims are safe on any
-provenance because an underestimate crossing the growth bar is still a
-crossing.
+the true norms, so the certificates refuse weight sequences computed from
+capped arithmetic or tagged bracket-lower.  A growth claim compares max v_n
+with the bar G*v_1 taken from the same sequence, so it needs a lower bound
+above and an upper bound below; it is sound only for exact-coefficient or
+quadrature values.  In H^inf one bracket side still serves every channel,
+so a growth claim there is not sound until each side is routed to the test
+it bounds correctly.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import binomial_series, compose_affine
-from .spaces import Hardy, SpaceSpec, SupSpace, space_norm
+from .spaces import SpaceSpec, SupSpace, require_in_space, space_norm
 from .operators import NormSequence
 
 __all__ = [
@@ -139,15 +142,6 @@ def _check_thresholds(epsilon: float, growth_factor: float) -> None:
         raise ValueError("growth factor must exceed 1")
 
 
-def _check_decay_soundness(weight_seq: NormSequence) -> None:
-    if weight_seq.provenance == "bracket-lower":
-        raise ValueError("decay test refuses a bracket-lower weight sequence "
-                         "(grid maxima underestimate the sup norm)")
-    if weight_seq.truncated:
-        raise ValueError("decay test refuses capped sequences "
-                         "(partial-sum norms underestimate the true norms)")
-
-
 def fit_window(horizon: int) -> tuple[int, int]:
     """Tail window used for growth-rate fits: the last 40% of the horizon."""
     return max(1, math.ceil(0.6 * horizon)), horizon
@@ -180,22 +174,73 @@ def _try_rate(values: np.ndarray) -> float | None:
         return None
 
 
-def _growth_scan(weight_vals: np.ndarray, orbit_vals: list[np.ndarray],
-                 growth_factor: float) -> GrowthWitness | None:
+def _growth_scan(channels: list[np.ndarray], growth_factor: float) -> GrowthWitness | None:
     """First channel whose maximum exceeds growth_factor times its first value.
 
-    The weight channel is scanned first, then orbits in the order supplied.
+    channels[0] is the weight-norm channel and channels[i] is orbit i - 1.
     """
-    stats = sequence_stats(weight_vals)
-    if stats.max_value > growth_factor * weight_vals[0]:
-        return GrowthWitness(channel="weight-norm", orbit=None, index=stats.argmax,
-                             value=stats.max_value, rate=_try_rate(weight_vals))
-    for i, vals in enumerate(orbit_vals):
+    for i, vals in enumerate(channels):
         st = sequence_stats(vals)
         if st.max_value > growth_factor * vals[0]:
-            return GrowthWitness(channel="orbit", orbit=i, index=st.argmax,
+            return GrowthWitness(channel="orbit" if i else "weight-norm",
+                                 orbit=i - 1 if i else None, index=st.argmax,
                                  value=st.max_value, rate=_try_rate(vals))
     return None
+
+
+# Per certificate: the citation for each outcome.
+_CITATIONS = {
+    KIND_LI_YORKE: {
+        "weight-norm": "weight norms vanish along a subsequence and are unbounded",
+        "orbit": "weight norms vanish along a subsequence; a candidate orbit shows the powers are unbounded",
+        "decay": "decay witness only; no growth channel fired",
+        "growth": "growth witness only; weight norms never fell below epsilon",
+        "none": "all channels bounded by the growth factor and weight norms stay above epsilon",
+    },
+    KIND_MEAN_LI_YORKE: {
+        "weight-norm": "averaged weight norms vanish over the tail and are unbounded",
+        "orbit": "averaged weight norms vanish over the tail; a candidate orbit has unbounded Cesaro means",
+        "decay": "averaged decay witness only; no growth channel fired",
+        "growth": "averaged growth witness only; tail average never fell below epsilon",
+        "none": "all averaged channels bounded and the tail average stays above epsilon",
+    },
+}
+
+
+def _certify(evidence: str, weight_seq: NormSequence, orbit_seqs, epsilon: float,
+             growth_factor: float) -> ChaosVerdict:
+    """Both certificates; ``evidence`` names the one to run.
+
+    The capped test comes first: capped H^2 sequences are also tagged
+    bracket-lower, and the cap is the real cause.
+    """
+    _check_thresholds(epsilon, growth_factor)
+    if weight_seq.truncated:
+        raise ValueError("decay test refuses capped sequences "
+                         "(partial-sum norms underestimate the true norms)")
+    if weight_seq.provenance == "bracket-lower":
+        raise ValueError("decay test refuses a bracket-lower weight sequence "
+                         "(grid maxima underestimate the sup norm)")
+    wv = weight_seq.values
+    channels = [wv] + [_values(o) for o in orbit_seqs]
+    if evidence == KIND_MEAN_LI_YORKE:
+        lo, hi = decay_window(len(wv))
+        decay_index, decay_value = lo, float(np.mean(wv[lo - 1 : hi]))
+        channels = [sequence_stats(v).cesaro for v in channels]
+    else:
+        stats = sequence_stats(wv)
+        decay_index, decay_value = stats.argmin, stats.min_value
+
+    decay = DecayWitness(index=decay_index, value=decay_value) if decay_value < epsilon else None
+    growth = _growth_scan(channels, growth_factor)
+    citations = _CITATIONS[evidence]
+    if decay and growth:
+        kind, citation = evidence, citations[growth.channel]
+    else:
+        kind = KIND_INCONCLUSIVE if decay or growth else KIND_NONE
+        citation = citations["decay" if decay else "growth" if growth else "none"]
+    return ChaosVerdict(kind=kind, citation=citation, decay=decay, growth=growth,
+                        epsilon=epsilon, growth_factor=growth_factor, horizon=len(wv))
 
 
 def certify_li_yorke(weight_seq: NormSequence, orbit_seqs=(),
@@ -210,31 +255,7 @@ def certify_li_yorke(weight_seq: NormSequence, orbit_seqs=(),
     Both channels firing yields evidence; neither yields NO_EVIDENCE;
     exactly one is INCONCLUSIVE.
     """
-    _check_thresholds(epsilon, growth_factor)
-    _check_decay_soundness(weight_seq)
-    wv = weight_seq.values
-    stats = sequence_stats(wv)
-
-    decay = None
-    if stats.min_value < epsilon:
-        decay = DecayWitness(index=stats.argmin, value=stats.min_value)
-    growth = _growth_scan(wv, [_values(o) for o in orbit_seqs], growth_factor)
-
-    if decay and growth:
-        kind = KIND_LI_YORKE
-        if growth.channel == "weight-norm":
-            citation = "weight norms vanish along a subsequence and are unbounded"
-        else:
-            citation = ("weight norms vanish along a subsequence; "
-                        "a candidate orbit shows the powers are unbounded")
-    elif decay:
-        kind, citation = KIND_INCONCLUSIVE, "decay witness only; no growth channel fired"
-    elif growth:
-        kind, citation = KIND_INCONCLUSIVE, "growth witness only; weight norms never fell below epsilon"
-    else:
-        kind, citation = KIND_NONE, "all channels bounded by the growth factor and weight norms stay above epsilon"
-    return ChaosVerdict(kind=kind, citation=citation, decay=decay, growth=growth,
-                        epsilon=epsilon, growth_factor=growth_factor, horizon=len(wv))
+    return _certify(KIND_LI_YORKE, weight_seq, orbit_seqs, epsilon, growth_factor)
 
 
 def certify_mean_li_yorke(weight_seq: NormSequence, orbit_seqs=(),
@@ -250,34 +271,7 @@ def certify_mean_li_yorke(weight_seq: NormSequence, orbit_seqs=(),
     practical horizons is far above any decay threshold; vanishing tail
     averages are equivalent to A_N -> 0 for nonnegative sequences.
     """
-    _check_thresholds(epsilon, growth_factor)
-    _check_decay_soundness(weight_seq)
-    wv = weight_seq.values
-    lo, hi = decay_window(len(wv))
-    tail_mean = float(np.mean(wv[lo - 1 : hi]))
-
-    decay = None
-    if tail_mean < epsilon:
-        decay = DecayWitness(index=lo, value=tail_mean)
-    wmeans = sequence_stats(wv).cesaro
-    omeans = [sequence_stats(o).cesaro for o in orbit_seqs]
-    growth = _growth_scan(wmeans, omeans, growth_factor)
-
-    if decay and growth:
-        kind = KIND_MEAN_LI_YORKE
-        if growth.channel == "weight-norm":
-            citation = "averaged weight norms vanish over the tail and are unbounded"
-        else:
-            citation = ("averaged weight norms vanish over the tail; "
-                        "a candidate orbit has unbounded Cesaro means")
-    elif decay:
-        kind, citation = KIND_INCONCLUSIVE, "averaged decay witness only; no growth channel fired"
-    elif growth:
-        kind, citation = KIND_INCONCLUSIVE, "averaged growth witness only; tail average never fell below epsilon"
-    else:
-        kind, citation = KIND_NONE, "all averaged channels bounded and the tail average stays above epsilon"
-    return ChaosVerdict(kind=kind, citation=citation, decay=decay, growth=growth,
-                        epsilon=epsilon, growth_factor=growth_factor, horizon=len(wv))
+    return _certify(KIND_MEAN_LI_YORKE, weight_seq, orbit_seqs, epsilon, growth_factor)
 
 
 def eigen_residual(a: float, s, spec: SpaceSpec, degree: int) -> float:
@@ -292,8 +286,7 @@ def eigen_residual(a: float, s, spec: SpaceSpec, degree: int) -> float:
     """
     if not 0.0 < a < 1.0:
         raise ValueError("parameter a must lie in (0, 1)")
-    if isinstance(spec, Hardy) and spec.p == 2.0 and not complex(s).real > -0.5:
-        raise ValueError("(1-z)^s lies in H2 only for Re(s) > -1/2")
+    require_in_space(spec, s)
     g = binomial_series(s, degree)
     image = compose_affine(g, a, 1.0 - a)
     mu = np.exp(complex(s) * math.log(a))

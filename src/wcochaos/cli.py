@@ -17,11 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .chaos import ChaosVerdict, eigen_residual, growth_rate_fit, fit_window
+from .chaos import ChaosVerdict, eigen_residual, fit_window, growth_rate_fit, sequence_stats
 from .experiments import (SCHEMA_VERSION, ClassifyResult, ExperimentConfig,
                           build_operator, candidate_orbit, parse_candidate,
                           run_classify, run_sweep_cell)
-from .operators import NormSequence, weight_norm_sequence
+from .operators import NormSequence, orbit_norm_sequence, weight_norm_sequence
 from .series import AnalyticPoly
 from .spaces import parse_space
 
@@ -37,7 +37,7 @@ def _fmt(x) -> str:
 def sequence_csv(seq: NormSequence, extra: dict | None = None) -> str:
     """Render a norm sequence per the fixed column schema (plus optional extras)."""
     v = seq.values
-    cesaro = np.cumsum(v) / np.arange(1, len(v) + 1)
+    cesaro = sequence_stats(v).cesaro
     rmin = np.minimum.accumulate(v)
     rmax = np.maximum.accumulate(v)
     cols = ["n", "norm", "cesaro_mean", "running_min", "running_max"]
@@ -156,8 +156,6 @@ def cmd_orbit(args) -> int:
     spec = config.space_spec()
     if args.poly_coeffs:
         f = AnalyticPoly([float(c) for c in args.poly_coeffs.split(",")])
-        from .operators import orbit_norm_sequence
-
         seq = orbit_norm_sequence(op, f, spec, config.horizon,
                                   cache=op.build_cache(config.horizon, max_degree=config.max_degree),
                                   sup_side=config.sup_side)
@@ -306,10 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="verdict table over a parameter grid")
     _add_symbol_args(p)
     _add_threshold_args(p)
-    p.add_argument("--grid-lambda", dest="grid_lambda", default=None, help="start:stop:count")
-    p.add_argument("--grid-a", dest="grid_a", default=None, help="start:stop:count")
-    p.add_argument("--grid-p", dest="grid_p", default=None, help="start:stop:count")
-    p.add_argument("--grid-beta", dest="grid_beta", default=None, help="start:stop:count")
+    for axis in ("lambda", "a", "p", "beta"):
+        p.add_argument(f"--grid-{axis}", dest=f"grid_{axis}", default=None,
+                       help=f"start:stop:count; a negative start needs the = form "
+                            f"--grid-{axis}=start:stop:count")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_sweep)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, asdict
 
 from .series import AnalyticPoly, binomial_series
 from .symbols import SelfMapSymbol, WeightSymbol, affine_fixing_one, validate_self_map
-from .spaces import SpaceSpec, parse_space
+from .spaces import SpaceSpec, parse_space, require_in_space
 from .operators import (WeightedCompOp, NormSequence, orbit_norm_sequence,
                         weight_norm_sequence, eigen_orbit_norm_sequence)
 from .chaos import (ChaosVerdict, certify_li_yorke, certify_mean_li_yorke,
@@ -151,6 +151,7 @@ def candidate_orbit(op: WeightedCompOp, candidate: dict, spec: SpaceSpec,
     if op.phi.fixes_one():
         return eigen_orbit_norm_sequence(op, s, degree, spec, horizon,
                                          power=k, sup_side=sup_side)
+    require_in_space(spec, s)
     f = binomial_series(s, degree) * AnalyticPoly.monomial(k)
     return orbit_norm_sequence(op, f, spec, horizon, cache=cache, sup_side=sup_side)
 

@@ -63,22 +63,8 @@ def weight_iterate_sequence(w: WeightSymbol, phi: SelfMapSymbol, horizon: int,
         raise ValueError("self-map must pass validate_self_map before iteration")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    if phi.kind != "affine" and max_degree is None:
-        raise ValueError("polynomial symbols need an explicit degree cap")
-
-    symbols = [phi.iterate(0)]
-    if phi.kind == "affine":
-        symbols.extend(phi.iterate(n) for n in range(1, horizon + 1))
-    else:
-        acc = phi
-        for _ in range(horizon):
-            symbols.append(acc)
-            nxt = acc.compose_into(phi.as_poly(), max_degree=max_degree)
-            acc = SelfMapSymbol.polynomial(nxt, approximate=True)
-            acc.validated = phi.validated
-        symbols = symbols[: horizon + 1]
-
-    truncated = False
+    symbols = phi.iterates(horizon, max_degree)
+    truncated = phi.kind != "affine"
     weights = [w.poly]
     current = w.poly
     for n in range(1, horizon):
@@ -88,9 +74,6 @@ def weight_iterate_sequence(w: WeightSymbol, phi: SelfMapSymbol, horizon: int,
             current = current.truncated(max_degree)
             truncated = True
         weights.append(current)
-    if phi.kind != "affine":
-        truncated = True
-
     return WeightIterateCache(w=w, phi=phi, horizon=horizon, weights=weights,
                               symbol_iterates=symbols, max_degree=max_degree,
                               truncated=truncated)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .iterates import WeightIterateCache, weight_iterate_sequence
 from .series import AnalyticPoly, binomial_series, compose_affine
-from .spaces import Hardy, SpaceSpec, space_norm, space_provenance
+from .spaces import SpaceSpec, require_in_space, space_norm, space_provenance
 from .symbols import SelfMapSymbol, WeightSymbol
 
 __all__ = [
@@ -136,14 +136,6 @@ def orbit_norm_sequence(op: WeightedCompOp, f: AnalyticPoly, spec: SpaceSpec,
                         truncated=cache.truncated)
 
 
-def _affine_power_poly(alpha: complex, gamma: complex, k: int) -> AnalyticPoly:
-    out = AnalyticPoly.one()
-    lin = AnalyticPoly([gamma, alpha])
-    for _ in range(k):
-        out = out * lin
-    return out
-
-
 def eigen_orbit_norm_sequence(op: WeightedCompOp, s, degree: int, spec: SpaceSpec,
                               horizon: int, power: int = 0,
                               sup_side: str = "lower") -> NormSequence:
@@ -155,7 +147,7 @@ def eigen_orbit_norm_sequence(op: WeightedCompOp, s, degree: int, spec: SpaceSpe
     truncated at ``degree`` once, outside the n-dependence; every reported
     value is the exact norm of that explicitly constructed polynomial.
 
-    For Hardy(2) the candidate lies in the space only when Re s > -1/2.
+    The candidate must lie in the space (see ``require_in_space``).
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -164,12 +156,12 @@ def eigen_orbit_norm_sequence(op: WeightedCompOp, s, degree: int, spec: SpaceSpe
     phi = op.phi
     if not phi.fixes_one():
         raise ValueError("closed-form orbits need an affine symbol fixing z = 1")
-    if isinstance(spec, Hardy) and spec.p == 2.0 and not complex(s).real > -0.5:
-        raise ValueError("(1-z)^s lies in H2 only for Re(s) > -1/2")
+    require_in_space(spec, s)
 
     alpha = phi.alpha
     mu = np.exp(complex(s) * np.log(alpha))  # alpha^s, principal log
     g = binomial_series(s, degree)
+    z_power = AnalyticPoly.monomial(power)
 
     # The running polynomial is renormalized each step and the scale kept in
     # log space: |mu|^n alone can overflow a double long before the orbit
@@ -179,14 +171,13 @@ def eigen_orbit_norm_sequence(op: WeightedCompOp, s, degree: int, spec: SpaceSpe
     product = g * op.w.poly  # w(1) * g
     for n in range(1, horizon + 1):
         log_scale += math.log(abs(mu))
+        it = phi.iterate(n)
         term = product
         if power:
-            it = phi.iterate(n)
-            term = term * _affine_power_poly(it.alpha, it.gamma, power)
+            term = term * compose_affine(z_power, it.alpha, it.gamma)
         nrm = space_norm(term, spec, sup_side=sup_side)
         vals[n - 1] = float(np.exp(log_scale + np.log(nrm))) if nrm > 0 else 0.0
         if n < horizon:
-            it = phi.iterate(n)
             product = product * compose_affine(op.w.poly, it.alpha, it.gamma)
             peak = float(np.max(np.abs(product.coeffs)))
             if peak > 0:

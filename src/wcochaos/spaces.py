@@ -33,6 +33,7 @@ __all__ = [
     "sup_norm_bracket",
     "space_norm",
     "space_provenance",
+    "require_in_space",
 ]
 
 GRID_DOUBLING_TOL = 1e-9
@@ -269,3 +270,19 @@ def space_provenance(spec: SpaceSpec, sup_side: str = "lower", capped: bool = Fa
     if exact:
         return "bracket-lower" if capped else "exact-coefficient"
     return "quadrature"
+
+
+def require_in_space(spec: SpaceSpec, s) -> None:
+    """Raise ValueError unless a candidate (1-z)^s z^k lies in the space.
+
+    (1-z)^s lies in H^p iff Re s > -1/p, in A^p_beta iff Re s > -(2+beta)/p
+    and in H^inf iff Re s >= 0; the factor z^k does not change membership.
+    """
+    re = complex(s).real
+    if isinstance(spec, SupSpace):
+        ok, need = re >= 0.0, "Re(s) >= 0"
+    else:
+        num = 1.0 if isinstance(spec, Hardy) else 2.0 + spec.beta
+        ok, need = re > -num / spec.p, f"Re(s) > -{num:g}/{spec.p:g}"
+    if not ok:
+        raise ValueError(f"(1-z)^s lies in {spec} only for {need}")

@@ -75,44 +75,56 @@ class SelfMapSymbol:
         return abs(self.alpha + self.gamma - 1.0) <= tol * (1.0 + abs(self.alpha) + abs(self.gamma))
 
     def iterate(self, n: int, max_degree: int | None = None) -> "SelfMapSymbol":
-        """The n-fold iterate.
+        """The n-fold iterate phi^n; polynomial symbols take it from ``iterates``.
 
         Affine maps iterate in closed form: alpha**n together with
         gamma * (1 - alpha**n) / (1 - alpha) for alpha != 1 (and n*gamma when
         alpha == 1); a map fixing z = 1 keeps the form alpha**n, 1 - alpha**n.
-        Polynomial symbols are iterated by repeated capped composition and
-        the result is flagged approximate.
         """
         if n < 0:
             raise ValueError("iterate count must be nonnegative")
-        if self.kind == "affine":
-            if n == 0:
-                it = SelfMapSymbol.identity()
-            elif n == 1:
-                it = SelfMapSymbol.affine(self.alpha, self.gamma)
-            else:
-                an = self.alpha**n
-                if self.fixes_one():
-                    gn = 1.0 - an
-                elif self.alpha == 1.0:
-                    gn = n * self.gamma
-                else:
-                    gn = self.gamma * (1.0 - an) / (1.0 - self.alpha)
-                it = SelfMapSymbol.affine(an, gn)
-            it.validated = self.validated
-            return it
+        if self.kind != "affine":
+            return self.iterates(n, max_degree)[n]
         if n == 0:
             it = SelfMapSymbol.identity()
-            it.validated = self.validated
-            return it
-        if max_degree is None:
-            raise ValueError("polynomial symbols need an explicit degree cap to iterate")
-        acc = self.poly
-        for _ in range(n - 1):
-            acc = compose(acc, self.poly, max_degree=max_degree)
-        it = SelfMapSymbol.polynomial(acc.truncated(max_degree), approximate=True)
+        elif n == 1:
+            it = SelfMapSymbol.affine(self.alpha, self.gamma)
+        else:
+            an = self.alpha**n
+            if self.fixes_one():
+                gn = 1.0 - an
+            elif self.alpha == 1.0:
+                gn = n * self.gamma
+            else:
+                gn = self.gamma * (1.0 - an) / (1.0 - self.alpha)
+            it = SelfMapSymbol.affine(an, gn)
         it.validated = self.validated
         return it
+
+    def iterates(self, horizon: int, max_degree: int | None = None) -> list["SelfMapSymbol"]:
+        """phi^0, phi^1, ..., phi^horizon.
+
+        Affine maps use the closed form of ``iterate``.  Polynomial symbols
+        need ``max_degree`` and follow phi^(n+1) = phi o phi^n under the cap:
+        with phi applied outermost, the terms a cap drops from phi^n only
+        reach degrees above the cap, so every stored coefficient is an exact
+        partial sum of the true iterate.  They are flagged approximate.
+        """
+        if horizon < 0:
+            raise ValueError("iterate count must be nonnegative")
+        if self.kind == "affine":
+            return [self.iterate(n) for n in range(horizon + 1)]
+        if horizon and max_degree is None:
+            raise ValueError("polynomial symbols need an explicit degree cap to iterate")
+        out = [SelfMapSymbol.identity()]
+        acc = self.poly
+        for n in range(1, horizon + 1):
+            if n > 1:
+                acc = compose(self.poly, acc, max_degree=max_degree)
+            out.append(SelfMapSymbol.polynomial(acc.truncated(max_degree), approximate=True))
+        for it in out:
+            it.validated = self.validated
+        return out
 
     def compose_into(self, f: AnalyticPoly, max_degree: int | None = None) -> AnalyticPoly:
         """f composed with this symbol, exact for affine symbols."""

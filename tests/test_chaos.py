@@ -10,7 +10,7 @@ from wcochaos.operators import (NormSequence, WeightedCompOp,
                                 eigen_orbit_norm_sequence, orbit_norm_sequence,
                                 weight_norm_sequence)
 from wcochaos.series import binomial_series
-from wcochaos.spaces import Hardy, SupSpace
+from wcochaos.spaces import Bergman, Hardy, SupSpace
 from wcochaos.symbols import (SelfMapSymbol, WeightSymbol, affine_fixing_one,
                               validate_self_map)
 
@@ -239,8 +239,10 @@ class TestEigenResidual:
         assert r2 == pytest.approx(0.3132, rel=1e-2)
 
     def test_membership_guard(self):
-        with pytest.raises(ValueError):
-            eigen_residual(0.25, -0.6, Hardy(2), 64)
+        for spec, s in [(Hardy(2), -0.6), (Hardy(4), -0.4), (Hardy(3), -0.4),
+                        (Bergman(3, 0.5), -0.9), (SupSpace(), -0.1)]:
+            with pytest.raises(ValueError):
+                eigen_residual(0.25, s, spec, 64)
 
     def test_parameter_guard(self):
         with pytest.raises(ValueError):

@@ -112,6 +112,20 @@ class TestClassifyCommand:
         doc = json.loads(out.read_text())
         assert doc["li_yorke"]["config"]["degree"] == 128
 
+    def test_candidate_outside_space_exit_code(self, capsys):
+        # (1-z)^(-0.4), the default candidate, is not in H^4
+        rc = main(["classify", "--w", "0.9*z", "--phi-affine", "0.25", "--space", "h4",
+                   "--horizon", "100"])
+        assert rc == 2
+        assert "Re(s) > -1/4" in capsys.readouterr().err
+
+    def test_capped_decay_refusal_names_the_cap(self, capsys):
+        rc = main(["classify", "--w", "0.9*z", "--phi-poly", "0.5,0.5", "--max-degree", "64",
+                   "--space", "h2", "--horizon", "30"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "capped" in err and "sup norm" not in err
+
     def test_unknown_space_exit_code(self, capsys):
         rc = main(["classify", "--w", "1", "--phi-affine", "0.5", "--space", "l2"])
         assert rc == 2
@@ -152,6 +166,34 @@ class TestSweepCommand:
             elif rate < 1 - 1e-9:
                 assert row["li_kind"] == "INCONCLUSIVE", (lam, a)
 
+    def test_workers_write_identical_bytes(self, tmp_path):
+        args = ["sweep", "--grid-lambda", "0.5:0.9:3", "--grid-a", "0.1:0.4:2",
+                "--space", "h2", "--horizon", "150"]
+        outs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers{workers}.csv"
+            assert main(args + ["--workers", workers, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert outs[0].count(b"\n") == 7
+
+    def test_p_beta_rows_match_classify(self, tmp_path):
+        common = ["--w", "0.9*z", "--phi-affine", "0.25", "--horizon", "150",
+                  "--degree", "256", "--eps", "1e-4"]
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *common, "--grid-p", "2:2:1", "--grid-beta=-0.5:1:3",
+                     "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert [(r["p"], r["beta"], r["space"]) for r in rows] == [
+            ("2.0", beta, "bergman") for beta in ("-0.5", "0.25", "1.0")]
+        for row in rows:
+            verdict = tmp_path / f"beta{row['beta']}.json"
+            assert main(["classify", *common, "--space", f"bergman:2:{row['beta']}",
+                         "--out", str(verdict)]) == 0
+            doc = json.loads(verdict.read_text())
+            assert row["li_kind"] == doc["li_yorke"]["kind"] == "LI_YORKE_EVIDENCE"
+            assert row["mean_kind"] == doc["mean_li_yorke"]["kind"]
+
     def test_empty_grid(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--grid-lambda", "0.5:0.9:0", "--grid-a", "0.1:0.5:3",
@@ -177,8 +219,9 @@ class TestEigenCommand:
         assert doc["residual"] <= 1e-12
 
     def test_membership_violation(self, capsys):
-        assert main(["eigen", "--a", "0.5", "--s", "-0.6", "--space", "h2",
-                     "--degree", "64"]) == 2
+        for space, s in [("h2", "-0.6"), ("h4", "-0.4")]:
+            assert main(["eigen", "--a", "0.5", "--s", s, "--space", space,
+                         "--degree", "64"]) == 2
 
 
 class TestPresets:

@@ -117,6 +117,16 @@ def test_polynomial_symbol_requires_cap_and_flags():
     assert cache.weight_iterate(2) == AnalyticPoly.monomial(3, 0.8)
 
 
+def test_capped_polynomial_iterates_are_exact_partial_sums():
+    # phi = 0.3 + 0.5 z^2: the exact phi^3 starts 0.3595125 + 0.05175 z^2 + ...
+    phi = SelfMapSymbol.polynomial(AnalyticPoly([0.3, 0, 0.5]))
+    assert validate_self_map(phi)
+    cache = weight_iterate_sequence(WeightSymbol.from_coeffs([1.0]), phi, 3, max_degree=2)
+    for it in (phi.iterate(3, max_degree=2), cache.symbol_iterate(3)):
+        assert it.approximate
+        assert np.allclose(it.poly.coeffs, [0.3595125, 0, 0.05175], rtol=0, atol=1e-15)
+
+
 def test_index_bounds():
     cache = weight_iterate_sequence(WeightSymbol.from_coeffs([1.0]), validated(0.5), 3)
     with pytest.raises(ValueError):

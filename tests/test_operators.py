@@ -245,5 +245,7 @@ class TestEigenOrbit:
 
     def test_h2_membership_enforced(self):
         op = make_op([1.0], 0.5)
-        with pytest.raises(ValueError):
-            eigen_orbit_norm_sequence(op, -0.6, 64, Hardy(2), 10)
+        for spec, s in [(Hardy(2), -0.6), (Hardy(4), -0.4), (Hardy(3), -0.4),
+                        (Bergman(3, 0.5), -0.9), (SupSpace(), -0.1)]:
+            with pytest.raises(ValueError):
+                eigen_orbit_norm_sequence(op, s, 64, spec, 10)

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from wcochaos.series import AnalyticPoly, binomial_series
 from wcochaos.spaces import (Bergman, Hardy, SupSpace, bergman2_coeff_weights,
                              coeff_norm_bergman2, coeff_norm_h2, parse_space,
-                             quad_norm_bergman_p, quad_norm_hp, space_norm,
-                             space_provenance, sup_norm_bracket)
+                             quad_norm_bergman_p, quad_norm_hp, require_in_space,
+                             space_norm, space_provenance, sup_norm_bracket)
 
 coeff_pairs = st.tuples(st.floats(-1, 1), st.floats(-1, 1))
 polys = st.lists(coeff_pairs, min_size=1, max_size=33).map(
@@ -164,3 +164,17 @@ class TestHomogeneityAndDispatch:
         assert space_norm(f, SupSpace(), sup_side="lower") <= 1.0 + 1e-12
         with pytest.raises(ValueError):
             space_norm(f, SupSpace(), sup_side="middle")
+
+
+class TestCandidateMembership:
+    # Each space at its boundary exponent: -1/p, -(2+beta)/p, and 0 for H^inf.
+    @pytest.mark.parametrize("spec, inside, boundary", [
+        (Hardy(2), -0.49, -0.5), (Hardy(4), -0.24, -0.25), (Hardy(1.5), -0.66, -2 / 3),
+        (Bergman(2, 0.5), -1.24, -1.25), (Bergman(3, 0.5), -0.83, -0.9),
+        (SupSpace(), 0.0, -0.01),
+    ])
+    def test_boundary(self, spec, inside, boundary):
+        require_in_space(spec, inside)
+        require_in_space(spec, complex(inside, 3.0))  # only Re(s) matters
+        with pytest.raises(ValueError):
+            require_in_space(spec, boundary)
