@@ -23,7 +23,7 @@ from .experiments import (SCHEMA_VERSION, ClassifyResult, ExperimentConfig,
                           run_classify, run_sweep_cell)
 from .operators import NormSequence, orbit_norm_sequence, weight_norm_sequence
 from .series import AnalyticPoly
-from .spaces import parse_space
+from .spaces import parse_space, require_in_space
 
 __all__ = ["main"]
 
@@ -161,6 +161,7 @@ def cmd_orbit(args) -> int:
                                   sup_side=config.sup_side)
     else:
         cand = config.candidates[0]
+        require_in_space(spec, cand["s"])
         cache = None if op.phi.fixes_one() else op.build_cache(config.horizon,
                                                                max_degree=config.max_degree)
         seq = candidate_orbit(op, cand, spec, config.degree, config.horizon,
@@ -228,8 +229,9 @@ def cmd_eigen(args) -> int:
 
 
 def cmd_preset(args) -> int:
-    outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    # Every file is rendered before the directory is touched, so a run that
+    # fails leaves no partial output behind.
+    files = {}
     if args.name == "weighted":
         config = ExperimentConfig(weight=f"{args.lam!r}*z", phi_affine=args.a,
                                   space=args.space, degree=args.degree,
@@ -237,12 +239,11 @@ def cmd_preset(args) -> int:
                                   growth_factor=args.growth_factor,
                                   candidates=[{"s": args.s, "k": 0}])
         result = run_classify(config)
-        (outdir / "verdict.json").write_text(classify_json(result))
-        (outdir / "weights.csv").write_text(sequence_csv(result.weight_seq))
+        files["verdict.json"] = classify_json(result)
+        files["weights.csv"] = sequence_csv(result.weight_seq)
         for i, orbit in enumerate(result.orbit_seqs):
-            (outdir / f"orbit_{i}.csv").write_text(sequence_csv(orbit))
-        return 0
-    if args.name == "unweighted":
+            files[f"orbit_{i}.csv"] = sequence_csv(orbit)
+    elif args.name == "unweighted":
         # Unweighted control: the weight norms stay at 1 (no decay channel)
         # while eigen-structured candidates still certify unbounded growth.
         config = ExperimentConfig(weight="1", phi_affine=args.a, space=args.space,
@@ -252,26 +253,30 @@ def cmd_preset(args) -> int:
         op = build_operator(config)
         spec = config.space_spec()
         cache = op.build_cache(config.horizon)
-        (outdir / "weights.csv").write_text(
-            sequence_csv(weight_norm_sequence(cache, spec, sup_side=config.sup_side)))
+        files["weights.csv"] = sequence_csv(
+            weight_norm_sequence(cache, spec, sup_side=config.sup_side))
         n = np.arange(1, config.horizon + 1)
         for k in (0, 1, 2):
             seq = candidate_orbit(op, {"s": 0.25, "k": k}, spec, config.degree,
                                   config.horizon, cache=cache)
             bound = args.a ** (n / 4.0) * 2.0**0.25 * (args.a**n + 1.0) ** k
-            (outdir / f"decay_k{k}.csv").write_text(
-                sequence_csv(seq, extra={"bound": bound}))
+            files[f"decay_k{k}.csv"] = sequence_csv(seq, extra={"bound": bound})
         growth = candidate_orbit(op, {"s": -1.0 / 12.0, "k": 0}, spec,
                                  max(config.degree, 2048), config.horizon, cache=cache)
-        (outdir / "growth.csv").write_text(sequence_csv(growth))
+        files["growth.csv"] = sequence_csv(growth)
         rate = growth_rate_fit(growth, fit_window(config.horizon))
         summary = {"schema_version": SCHEMA_VERSION,
                    "growth_rate": rate,
                    "growth_window": list(fit_window(config.horizon)),
                    "config": config.to_dict()}
-        (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        return 0
-    raise ValueError(f"unknown preset {args.name!r}")
+        files["summary.json"] = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    else:
+        raise ValueError(f"unknown preset {args.name!r}")
+    outdir = Path(args.out_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (outdir / name).write_text(text)
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -166,9 +166,14 @@ class ClassifyResult:
 
 
 def run_classify(config: ExperimentConfig) -> ClassifyResult:
-    """Weight sequence, candidate orbits and both certificates for a config."""
+    """Weight sequence, candidate orbits and both certificates for a config.
+
+    Every candidate is checked for membership before any sequence is built.
+    """
     op = build_operator(config)
     spec = config.space_spec()
+    for c in config.candidates:
+        require_in_space(spec, c["s"])
     cache = op.build_cache(config.horizon, max_degree=config.max_degree)
     weight_seq = weight_norm_sequence(cache, spec, sup_side=config.sup_side)
     orbits = [candidate_orbit(op, c, spec, config.degree, config.horizon, cache=cache)

@@ -1,16 +1,25 @@
 """Norms on Hardy, weighted Bergman and sup spaces of the disk.
 
 Hilbert-space norms (Hardy p=2, Bergman p=2) are evaluated exactly from
-coefficients; general p goes through quadrature.  Hardy norms are taken
+coefficients, rescaled by a power of two when the squares would leave the
+double range; general p goes through quadrature.  Hardy norms are taken
 directly at radius 1: every representable function is a polynomial, hence
 continuous up to the boundary, so the radial supremum in the defining
 integral is attained there and no radial sweep is needed.  The sup norm is
 only bracketed: boundary-grid maximum from below, coefficient absolute sum
 from above.
+
+Quadrature cost is mostly inverse FFTs.  Automatic angular grids start at a
+5-smooth length (2^a 3^b 5^c), where numpy's FFT is fast, and doubling keeps
+them 5-smooth; a grid set through ``angular_grid`` is used as given.  Hardy
+doubling is nested: the doubled grid is the old grid plus its half-step
+offset, so only the offset samples are new.  The Gauss-Jacobi radial rule is
+cached per (order, beta).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -105,9 +114,24 @@ def parse_space(token: str) -> SpaceSpec:
     raise ValueError(f"unknown space token {token!r}")
 
 
+def _rescaled_norm(norm, c: np.ndarray) -> float:
+    """norm(c) for a square-root-of-sum-of-squares norm of coefficients c.
+
+    Outside about [1e-140, 1e140] the squares go subnormal or overflow, so
+    the sum is redone on c scaled exactly by a power of two that brings the
+    largest modulus into [1/2, 1); in range the plain value is returned.
+    """
+    out = norm(c)
+    if 1e-140 <= out <= 1e140:
+        return out
+    e = int(np.frexp(np.max(np.abs(c)))[1])
+    scaled = np.ldexp(c.view(np.float64), -e).view(np.complex128)
+    return float(np.ldexp(norm(scaled), e))
+
+
 def coeff_norm_h2(f: AnalyticPoly) -> float:
     """H^2 norm: the l2 norm of the Maclaurin coefficients (exact)."""
-    return float(np.linalg.norm(f.coeffs))
+    return _rescaled_norm(lambda c: float(np.linalg.norm(c)), f.coeffs)
 
 
 def bergman2_coeff_weights(count: int, beta: float) -> np.ndarray:
@@ -130,16 +154,41 @@ def bergman2_coeff_weights(count: int, beta: float) -> np.ndarray:
 def coeff_norm_bergman2(f: AnalyticPoly, beta: float) -> float:
     """A^2_beta norm from coefficients (exact for polynomials)."""
     g = bergman2_coeff_weights(len(f.coeffs), beta)
-    return float(np.sqrt(np.sum(g * np.abs(f.coeffs) ** 2)))
+    return _rescaled_norm(lambda c: float(np.sqrt(np.sum(g * np.abs(c) ** 2))), f.coeffs)
 
 
 def _even_integer(p: float) -> bool:
     return p == round(p) and int(round(p)) % 2 == 0
 
 
-def _hp_mean(f: AnalyticPoly, p: float, grid: int) -> float:
-    vals = np.abs(eval_on_circle(f, grid))
-    return float(np.mean(vals**p))
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth length 2^a 3^b 5^c that is at least n."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _angular_grid(d: int, p: float, given: int | None) -> int:
+    """Starting grid: as given, else the 5-smooth length >= max(4d+1, 16);
+    for even p, raised to the 5-smooth length >= p*d+1 where the exact rule
+    needs more points."""
+    grid = given if given is not None else _fast_len(max(4 * d + 1, 16))
+    if _even_integer(p) and grid < int(p) * d + 1:
+        grid = _fast_len(int(p) * d + 1)
+    return grid
+
+
+def _sum_abs_pow(f: AnalyticPoly, p: float, grid: int) -> float:
+    return float(np.sum(np.abs(eval_on_circle(f, grid)) ** p))
 
 
 def quad_norm_hp(f: AnalyticPoly, p: float, angular_grid: int | None = None) -> float:
@@ -148,22 +197,26 @@ def quad_norm_hp(f: AnalyticPoly, p: float, angular_grid: int | None = None) -> 
     For even integer p the integrand |f|^p is a trigonometric polynomial and
     the rule is exact once the grid exceeds p * deg f points; the grid is
     enlarged to that size automatically.  For other p the grid is doubled
-    until the relative change is below 1e-9.
+    until the relative change is below 1e-9.  Doubling is nested: the
+    samples of the M-point grid are kept in a running sum, and the new half
+    of the 2M-point grid, the points shifted by pi/M, is the M-point inverse
+    FFT of the twisted coefficients c_j exp(i pi j / M).
     """
     if not (1.0 <= p < math.inf):
         raise ValueError("Hardy exponent must satisfy 1 <= p < inf")
     d = f.trimmed().degree
-    floor = max(4 * d + 1, 16)
     if angular_grid is not None and angular_grid < 4 * d + 1:
         raise ValueError("angular grid must have at least 4*deg(f) + 1 points")
-    grid = angular_grid if angular_grid is not None else floor
+    grid = _angular_grid(d, p, angular_grid)
     if _even_integer(p):
-        grid = max(grid, int(p) * d + 1)
-        return _hp_mean(f, p, grid) ** (1.0 / p)
-    prev = _hp_mean(f, p, grid)
+        return (_sum_abs_pow(f, p, grid) / grid) ** (1.0 / p)
+    total = _sum_abs_pow(f, p, grid)
+    prev = total / grid
+    c, j = f.coeffs, np.arange(len(f.coeffs))
     while True:
+        total += _sum_abs_pow(AnalyticPoly(c * np.exp(1j * math.pi * j / grid)), p, grid)
         grid *= 2
-        cur = _hp_mean(f, p, grid)
+        cur = total / grid
         if abs(cur - prev) <= GRID_DOUBLING_TOL * max(cur, 1e-300):
             return cur ** (1.0 / p)
         if grid > MAX_ANGULAR_GRID:
@@ -171,12 +224,20 @@ def quad_norm_hp(f: AnalyticPoly, p: float, angular_grid: int | None = None) -> 
         prev = cur
 
 
+@functools.lru_cache(maxsize=32)
+def _radial_rule(order: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi radii sqrt((x+1)/2) and weights, read-only."""
+    nodes, wq = roots_jacobi(order, beta, 0.0)
+    r = np.sqrt((nodes + 1.0) / 2.0)
+    r.setflags(write=False)
+    wq.setflags(write=False)
+    return r, wq
+
+
 def _bergman_mean(f: AnalyticPoly, p: float, beta: float, order: int, grid: int) -> float:
     # Gauss-Jacobi on [-1, 1] with weight (1-x)^beta, mapped to u = (x+1)/2
     # in [0, 1]:  int_0^1 (1-u)^beta g(u) du = 2^(-beta-1) * sum w_i g(u_i).
-    nodes, wq = roots_jacobi(order, beta, 0.0)
-    u = (nodes + 1.0) / 2.0
-    r = np.sqrt(u)
+    r, wq = _radial_rule(order, beta)
     c = f.coeffs
     powers = r[:, None] ** np.arange(len(c))[None, :]
     scaled = powers * c[None, :]
@@ -201,12 +262,11 @@ def quad_norm_bergman_p(f: AnalyticPoly, p: float, beta: float,
     if not beta > -1.0:
         raise ValueError("Bergman weight exponent must satisfy beta > -1")
     d = f.trimmed().degree
-    grid = angular_grid if angular_grid is not None else max(4 * d + 1, 16)
+    grid = _angular_grid(d, p, angular_grid)
     order = radial_order if radial_order is not None else DEFAULT_RADIAL_ORDER
     if _even_integer(p):
         # |f|^p is a trig polynomial in theta and a polynomial of degree
         # p*d/2 in u; both rules below are exact.
-        grid = max(grid, int(p) * d + 1)
         order = max(order, int(p) * d // 4 + 2)
         return _bergman_mean(f, p, beta, order, grid) ** (1.0 / p)
     prev = _bergman_mean(f, p, beta, order, grid)

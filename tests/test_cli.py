@@ -6,8 +6,10 @@ import json
 import numpy as np
 import pytest
 
+from wcochaos import experiments
 from wcochaos.cli import main
 from wcochaos.experiments import ExperimentConfig, parse_candidate, parse_weight
+from wcochaos.operators import WeightedCompOp
 from wcochaos.series import AnalyticPoly
 
 
@@ -78,6 +80,17 @@ class TestOrbitCommand:
         assert np.allclose(v[1:] / v[:-1], 0.25, rtol=1e-12)
 
 
+    def test_candidate_refused_before_the_iterate_cache(self, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the iterate cache was built before the membership check")
+
+        monkeypatch.setattr(WeightedCompOp, "build_cache", no_work)
+        rc = main(["orbit", "--w", "0.9*z", "--phi-poly", "0.5,0.5", "--max-degree", "64",
+                   "--space", "h3", "--horizon", "30", "--candidates", "s=-0.4"])
+        assert rc == 2
+        assert "Re(s) > -1/3" in capsys.readouterr().err
+
+
 class TestClassifyCommand:
     def test_verdict_file_shape_and_kinds(self, tmp_path):
         out = tmp_path / "verdict.json"
@@ -118,6 +131,18 @@ class TestClassifyCommand:
                    "--horizon", "100"])
         assert rc == 2
         assert "Re(s) > -1/4" in capsys.readouterr().err
+
+    def test_candidate_refused_before_any_sequence(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a sequence was built before the membership check")
+
+        monkeypatch.setattr(experiments, "weight_norm_sequence", no_work)
+        monkeypatch.setattr(WeightedCompOp, "build_cache", no_work)
+        config = ExperimentConfig(weight="0.9*z", phi_affine=0.25, space="bergman:3:0.5",
+                                  degree=256, horizon=40,
+                                  candidates=[{"s": 0.2, "k": 0}, {"s": -0.9, "k": 0}])
+        with pytest.raises(ValueError, match=r"Re\(s\) > -2.5/3"):
+            experiments.run_classify(config)
 
     def test_capped_decay_refusal_names_the_cap(self, capsys):
         rc = main(["classify", "--w", "0.9*z", "--phi-poly", "0.5,0.5", "--max-degree", "64",
@@ -234,6 +259,15 @@ class TestPresets:
         assert doc["li_yorke"]["kind"] == "LI_YORKE_EVIDENCE"
         assert (out / "weights.csv").exists()
         assert (out / "orbit_0.csv").exists()
+
+    def test_failed_preset_writes_nothing(self, tmp_path, capsys):
+        # The growth candidate s = -1/12 is not in H^inf; the run fails only
+        # after the weight and decay sequences are computed.
+        out = tmp_path / "uw"
+        assert main(["preset", "unweighted", "--space", "hinf", "--horizon", "50",
+                     "--out-dir", str(out)]) == 2
+        assert "Re(s) >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unweighted_preset(self, tmp_path):
         out = tmp_path / "uw"

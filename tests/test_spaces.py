@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wcochaos.series import AnalyticPoly, binomial_series
+from scipy.special import roots_jacobi
+
+from wcochaos import spaces
+from wcochaos.experiments import ExperimentConfig, build_operator
+from wcochaos.series import AnalyticPoly, binomial_series, eval_on_circle
 from wcochaos.spaces import (Bergman, Hardy, SupSpace, bergman2_coeff_weights,
                              coeff_norm_bergman2, coeff_norm_h2, parse_space,
                              quad_norm_bergman_p, quad_norm_hp, require_in_space,
@@ -44,6 +48,26 @@ class TestCoefficientNorms:
         assert coeff_norm_bergman2(AnalyticPoly.one(), beta=2.1) == 1.0
         assert coeff_norm_bergman2(AnalyticPoly([0, 1]), beta=0.0) == pytest.approx(1 / math.sqrt(2))
         assert coeff_norm_bergman2(AnalyticPoly([0, 1]), beta=1.0) == pytest.approx(1 / math.sqrt(3))
+
+    def test_long_horizon_weight_norms_stay_positive(self):
+        # |w(n)| ~ 0.9^n reaches ~1e-165 at n = 3600: the squares of the
+        # coefficients are subnormal long before that.
+        op = build_operator(ExperimentConfig(weight="0.9*z", phi_affine=0.25))
+        cache = op.build_cache(3600)
+        for norm in (coeff_norm_h2, lambda f: coeff_norm_bergman2(f, 0.5)):
+            v = np.array([norm(cache.weight_iterate(n)) for n in range(3400, 3601)])
+            assert np.all(v > 0)
+            assert np.max(np.abs(v[1:] / v[:-1] - 0.9)) <= 1e-9
+
+    def test_rescaled_norms_match_scaled_inputs(self):
+        f = AnalyticPoly([1, 0.5j, -0.25, 1e-3])
+        for scale in (2.0**-600, 2.0**-1000, 2.0**600):
+            g = AnalyticPoly(f.coeffs * scale)
+            with np.errstate(over="ignore"):  # the plain sum of squares overflows first
+                h2, berg = coeff_norm_h2(g), coeff_norm_bergman2(g, 0.5)
+            assert h2 == pytest.approx(coeff_norm_h2(f) * scale, rel=1e-15)
+            assert berg == pytest.approx(coeff_norm_bergman2(f, 0.5) * scale, rel=1e-15)
+        assert coeff_norm_h2(AnalyticPoly.zero()) == 0.0
 
     def test_bergman_beta_range(self):
         with pytest.raises(ValueError):
@@ -103,6 +127,96 @@ class TestBergmanQuadrature:
             quad_norm_bergman_p(AnalyticPoly.one(), 1.0, 0.0)
         with pytest.raises(ValueError):
             quad_norm_bergman_p(AnalyticPoly.one(), 2.0, -1.5)
+
+
+def _smooth(m):
+    for q in (2, 3, 5):
+        while m % q == 0:
+            m //= q
+    return m == 1
+
+
+def _zero_free_poly(degree):
+    # (1 + z^3/2) * sum_k (0.7 z)^k has no zeros in the closed disk, so |f|^p
+    # is smooth and the high-resolution rules below are accurate far beyond
+    # the tolerances checked.
+    return AnalyticPoly([1, 0, 0, 0.5]) * AnalyticPoly(0.7 ** np.arange(degree - 2))
+
+
+class TestQuadratureKernels:
+    @given(n=st.integers(1, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_fast_len_is_smallest_5_smooth(self, n):
+        m = spaces._fast_len(n)
+        assert m >= n and _smooth(m)
+        assert not any(_smooth(k) for k in range(n, m))
+
+    @pytest.mark.parametrize("p", [1, 1.5, 3])
+    def test_nested_doubling_equals_direct_rule(self, p, monkeypatch):
+        # An infinite tolerance stops after one doubling of the given grid.
+        monkeypatch.setattr(spaces, "GRID_DOUBLING_TOL", math.inf)
+        rng = np.random.default_rng(41)
+        for degree, grid in ((40, 161), (40, 200), (97, 389)):
+            f = AnalyticPoly(rng.uniform(-1, 1, degree + 1) + 1j * rng.uniform(-1, 1, degree + 1))
+            nested = quad_norm_hp(f, p, angular_grid=grid) ** p
+            direct = np.mean(np.abs(eval_on_circle(f, 2 * grid)) ** p)
+            assert abs(nested - direct) <= 1e-13 * direct
+
+    def test_jacobi_rule_computed_once_per_order_and_beta(self, monkeypatch):
+        calls = []
+
+        def counting(order, alpha, beta):
+            calls.append((order, alpha))
+            return roots_jacobi(order, alpha, beta)
+
+        monkeypatch.setattr(spaces, "roots_jacobi", counting)
+        spaces._radial_rule.cache_clear()
+        try:
+            f = binomial_series(-0.2, 64)
+            for beta in (0.5, -0.5, 0.5, -0.5):
+                first = quad_norm_bergman_p(f, 3, beta)
+                assert quad_norm_bergman_p(f, 3, beta) == first
+        finally:
+            spaces._radial_rule.cache_clear()
+        assert calls and len(calls) == len(set(calls))
+        assert {(128, 0.5), (128, -0.5)} <= set(calls)
+
+    @pytest.mark.parametrize("p", [1.5, 3])
+    def test_hardy_against_high_resolution_rule(self, p):
+        f = _zero_free_poly(120)
+        ref = np.mean(np.abs(eval_on_circle(f, 1 << 16)) ** p) ** (1 / p)
+        assert quad_norm_hp(f, p) == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("beta", [-0.5, 0.5])
+    def test_bergman_against_high_resolution_rule(self, beta):
+        f = _zero_free_poly(60)
+        nodes, wq = roots_jacobi(512, beta, 0.0)
+        k = np.arange(len(f.coeffs))
+        ps = (1.5, 3)
+        angular = np.empty((len(ps), len(nodes)))
+        for i, r in enumerate(np.sqrt((nodes + 1) / 2)):
+            m = np.abs(eval_on_circle(AnalyticPoly(f.coeffs * r**k), 1 << 16))
+            angular[:, i] = [np.mean(m**p) for p in ps]
+        for p, row in zip(ps, angular):
+            ref = ((beta + 1) * 2 ** (-(beta + 1)) * np.dot(wq, row)) ** (1 / p)
+            assert quad_norm_bergman_p(f, p, beta) == pytest.approx(ref, rel=1e-8)
+
+    def test_automatic_fft_lengths_are_5_smooth(self, monkeypatch):
+        lengths = []
+        ifft = np.fft.ifft
+
+        def recording(a, n=None, axis=-1, **kwargs):
+            lengths.append(np.shape(a)[axis] if n is None else n)
+            return ifft(a, n=n, axis=axis, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", recording)
+        for degree in (100, 257, 433, 600):
+            f = binomial_series(-0.2, degree)
+            for p in (1.5, 3, 4, 6):
+                quad_norm_hp(f, p)
+            for p in (1.5, 3, 4):
+                quad_norm_bergman_p(f, p, 0.5)
+        assert lengths and all(_smooth(m) for m in lengths), sorted(set(lengths))
 
 
 class TestSupBracket:
