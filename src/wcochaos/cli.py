@@ -21,6 +21,7 @@ from .chaos import ChaosVerdict, eigen_residual, fit_window, growth_rate_fit, se
 from .experiments import (SCHEMA_VERSION, ClassifyResult, ExperimentConfig,
                           build_operator, candidate_orbit, parse_candidate,
                           run_classify, run_sweep_cell)
+from .iterates import weight_iterates
 from .operators import NormSequence, orbit_norm_sequence, weight_norm_sequence
 from .series import AnalyticPoly
 from .spaces import parse_space, require_in_space
@@ -67,13 +68,35 @@ def verdict_dict(v: ChaosVerdict, config: ExperimentConfig) -> dict:
     }
 
 
+def _nonfinite_key(obj, path: str = "") -> str | None:
+    """Dotted path of the first non-finite float in a JSON payload, if any."""
+    if isinstance(obj, float):
+        return None if np.isfinite(obj) else path
+    if isinstance(obj, (dict, list, tuple)):
+        items = sorted(obj.items()) if isinstance(obj, dict) else enumerate(obj)
+        for key, value in items:
+            found = _nonfinite_key(value, f"{path}.{key}" if path else str(key))
+            if found is not None:
+                return found
+    return None
+
+
+def json_text(payload: dict) -> str:
+    """Deterministic JSON text; a non-finite number is an error, never Infinity."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        key = _nonfinite_key(payload)
+        raise ValueError(f"non-finite number at {key}: a norm overflowed a double, "
+                         "and the JSON output admits no Infinity or NaN") from None
+
+
 def classify_json(result: ClassifyResult) -> str:
-    payload = {
+    return json_text({
         "schema_version": SCHEMA_VERSION,
         "li_yorke": verdict_dict(result.li_yorke, result.config),
         "mean_li_yorke": verdict_dict(result.mean_li_yorke, result.config),
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    })
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -144,8 +167,8 @@ def _parse_grid(text: str) -> np.ndarray:
 def cmd_weights(args) -> int:
     config = _config_from_args(args)
     op = build_operator(config)
-    cache = op.build_cache(config.horizon, max_degree=config.max_degree)
-    seq = weight_norm_sequence(cache, config.space_spec(), sup_side=config.sup_side)
+    iterates = weight_iterates(op.w, op.phi, config.horizon, max_degree=config.max_degree)
+    seq = weight_norm_sequence(iterates, config.space_spec(), sup_side=config.sup_side)
     _emit(sequence_csv(seq), args.out)
     return 0
 
@@ -224,7 +247,7 @@ def cmd_eigen(args) -> int:
     payload = {"schema_version": SCHEMA_VERSION, "residual": res,
                "config": {"a": args.a, "s": args.s, "space": args.space,
                           "degree": args.degree}}
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(json_text(payload), args.out)
     return 0
 
 
@@ -252,24 +275,25 @@ def cmd_preset(args) -> int:
                                   candidates=[{"s": 0.25, "k": k} for k in (0, 1, 2)])
         op = build_operator(config)
         spec = config.space_spec()
-        cache = op.build_cache(config.horizon)
-        files["weights.csv"] = sequence_csv(
-            weight_norm_sequence(cache, spec, sup_side=config.sup_side))
+        # phi fixes 1, so every candidate takes the closed-form route and
+        # the weight norms stream: no iterate cache is built.
+        files["weights.csv"] = sequence_csv(weight_norm_sequence(
+            weight_iterates(op.w, op.phi, config.horizon), spec, sup_side=config.sup_side))
         n = np.arange(1, config.horizon + 1)
         for k in (0, 1, 2):
             seq = candidate_orbit(op, {"s": 0.25, "k": k}, spec, config.degree,
-                                  config.horizon, cache=cache)
+                                  config.horizon)
             bound = args.a ** (n / 4.0) * 2.0**0.25 * (args.a**n + 1.0) ** k
             files[f"decay_k{k}.csv"] = sequence_csv(seq, extra={"bound": bound})
         growth = candidate_orbit(op, {"s": -1.0 / 12.0, "k": 0}, spec,
-                                 max(config.degree, 2048), config.horizon, cache=cache)
+                                 max(config.degree, 2048), config.horizon)
         files["growth.csv"] = sequence_csv(growth)
         rate = growth_rate_fit(growth, fit_window(config.horizon))
         summary = {"schema_version": SCHEMA_VERSION,
                    "growth_rate": rate,
                    "growth_window": list(fit_window(config.horizon)),
                    "config": config.to_dict()}
-        files["summary.json"] = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+        files["summary.json"] = json_text(summary)
     else:
         raise ValueError(f"unknown preset {args.name!r}")
     outdir = Path(args.out_dir)

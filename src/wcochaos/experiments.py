@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass, field, asdict
 
 from .series import AnalyticPoly, binomial_series
+from .iterates import weight_iterates
 from .symbols import SelfMapSymbol, WeightSymbol, affine_fixing_one, validate_self_map
 from .spaces import SpaceSpec, parse_space, require_in_space
 from .operators import (WeightedCompOp, NormSequence, orbit_norm_sequence,
@@ -174,8 +175,14 @@ def run_classify(config: ExperimentConfig) -> ClassifyResult:
     spec = config.space_spec()
     for c in config.candidates:
         require_in_space(spec, c["s"])
-    cache = op.build_cache(config.horizon, max_degree=config.max_degree)
-    weight_seq = weight_norm_sequence(cache, spec, sup_side=config.sup_side)
+    # Maps fixing 1 take the closed-form orbit route, which needs no stored
+    # iterates, so their weight norms stream; other maps share one cache.
+    if op.phi.fixes_one():
+        cache = None
+        iterates = weight_iterates(op.w, op.phi, config.horizon, max_degree=config.max_degree)
+    else:
+        iterates = cache = op.build_cache(config.horizon, max_degree=config.max_degree)
+    weight_seq = weight_norm_sequence(iterates, spec, sup_side=config.sup_side)
     orbits = [candidate_orbit(op, c, spec, config.degree, config.horizon, cache=cache)
               for c in config.candidates]
     li = certify_li_yorke(weight_seq, orbits, epsilon=config.epsilon,

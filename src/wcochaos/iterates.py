@@ -1,10 +1,14 @@
-"""Weight iterate sequences w(1), w(2), ... for a weight/self-map pair.
+"""Weight iterates w(1), w(2), ... for a weight/self-map pair.
 
 The n-th weight iterate is the product (w o phi^(n-1)) ... (w o phi) * w; it
 governs the n-th operator power through the identity T^n f = w(n) * (f o
-phi^n).  The cache builds the sequence by the incremental recurrence
-w(n+1) = w(n) * (w o phi^n), one composition per step instead of the literal
-n-fold product.
+phi^n).  ``weight_iterates`` generates the sequence by the incremental
+recurrence w(n+1) = w(n) * (w o phi^n), one composition per step instead of
+the literal n-fold product, and holds only the current iterate.  That is the
+default: weight norms read each w(n) once, in order.  Storing every w(n)
+costs O(H^2) coefficients at horizon H, so ``weight_iterate_sequence``
+materialises the stream into a ``WeightIterateCache`` only for the random
+access of ``WeightedCompOp.apply_n``.
 """
 
 from __future__ import annotations
@@ -12,16 +16,19 @@ from __future__ import annotations
 from .series import AnalyticPoly
 from .symbols import SelfMapSymbol, WeightSymbol
 
-__all__ = ["WeightIterateCache", "weight_iterate_sequence"]
+__all__ = ["WeightIterateCache", "weight_iterate_sequence", "weight_iterates"]
 
 
 class WeightIterateCache:
     """Immutable store of weight iterates and symbol iterates up to a horizon.
 
-    For affine symbols everything is exact and deg w(n) = n * deg w; with a
+    Built only where ``WeightedCompOp.apply_n`` needs w(n) and phi^n by
+    index; sequential consumers stream ``weight_iterates`` instead.  For
+    affine symbols everything is exact and deg w(n) = n * deg w; with a
     degree cap (mandatory for polynomial symbols) the stored coefficients are
     exact partial sums and ``truncated`` records that the sequence only
-    bounds the true iterates from below in coefficient norms.
+    bounds the true iterates from below in coefficient norms.  Iterating the
+    cache yields (w(n), truncated) pairs, like ``weight_iterates``.
     """
 
     def __init__(self, w: WeightSymbol, phi: SelfMapSymbol, horizon: int,
@@ -47,33 +54,58 @@ class WeightIterateCache:
             raise ValueError(f"symbol iterate index {n} outside 0..{self.horizon}")
         return self._symbols[n]
 
+    def __iter__(self):
+        for wn in self._weights:
+            yield wn, self.truncated
+
     def __len__(self) -> int:
         return self.horizon
 
 
+def _require_iterable(phi: SelfMapSymbol, horizon: int) -> None:
+    if not phi.validated:
+        raise ValueError("self-map must pass validate_self_map before iteration")
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+
+
+def _steps(w: WeightSymbol, symbols: list[SelfMapSymbol], max_degree: int | None,
+           truncated: bool):
+    """(w(n), truncated) for n = 1..len(symbols)-1 by w(n+1) = w(n) * (w o phi^n)."""
+    current = w.poly
+    yield current, truncated
+    for it in symbols[1:-1]:
+        current = current * it.compose_into(w.poly, max_degree=max_degree)
+        if max_degree is not None and current.degree > max_degree:
+            current = current.truncated(max_degree)
+            truncated = True
+        yield current, truncated
+
+
+def weight_iterates(w: WeightSymbol, phi: SelfMapSymbol, horizon: int,
+                    max_degree: int | None = None):
+    """Stream (w(n), truncated) for n = 1..horizon, one iterate alive at a time.
+
+    ``truncated`` turns true with the first capped iterate and stays true;
+    polynomial symbols are truncated from the start.  The symbol is checked
+    when the stream is made, not when it is first read.
+    """
+    _require_iterable(phi, horizon)
+    return _steps(w, phi.iterates(horizon, max_degree), max_degree, phi.kind != "affine")
+
+
 def weight_iterate_sequence(w: WeightSymbol, phi: SelfMapSymbol, horizon: int,
                             max_degree: int | None = None) -> WeightIterateCache:
-    """Build w(1)..w(horizon) incrementally for a validated self-map.
+    """Store w(1)..w(horizon) and phi^0..phi^horizon for a validated self-map.
 
     Affine symbols run uncapped by default (the degree grows linearly);
     polynomial symbols require max_degree because their composition degree
     grows geometrically, and the result is marked truncated.
     """
-    if not phi.validated:
-        raise ValueError("self-map must pass validate_self_map before iteration")
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+    _require_iterable(phi, horizon)
     symbols = phi.iterates(horizon, max_degree)
-    truncated = phi.kind != "affine"
-    weights = [w.poly]
-    current = w.poly
-    for n in range(1, horizon):
-        shifted = symbols[n].compose_into(w.poly, max_degree=max_degree)
-        current = current * shifted
-        if max_degree is not None and current.degree > max_degree:
-            current = current.truncated(max_degree)
-            truncated = True
-        weights.append(current)
-    return WeightIterateCache(w=w, phi=phi, horizon=horizon, weights=weights,
+    steps = list(_steps(w, symbols, max_degree, phi.kind != "affine"))
+    return WeightIterateCache(w=w, phi=phi, horizon=horizon,
+                              weights=[wn for wn, _ in steps],
                               symbol_iterates=symbols, max_degree=max_degree,
-                              truncated=truncated)
+                              truncated=steps[-1][1])

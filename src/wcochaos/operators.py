@@ -3,7 +3,8 @@
 T f = w * (f o phi).  Powers are never applied step by step: the closed
 iterate identity T^n f = w(n) * (f o phi^n) gives every orbit element from
 one composition and one multiplication against a shared weight-iterate
-cache.
+cache.  Weight norms need no cache: they read each w(n) once, in order,
+from the streamed iterates.
 
 Two orbit routines are provided.  ``orbit_norm_sequence`` follows a fixed
 polynomial through the iterate identity.  ``eigen_orbit_norm_sequence``
@@ -19,6 +20,7 @@ then no longer resolves the truncation scale).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,14 +110,20 @@ class NormSequence:
         return float(self.values[n - 1])
 
 
-def weight_norm_sequence(cache: WeightIterateCache, spec: SpaceSpec,
+def weight_norm_sequence(iterates: Iterable[tuple[AnalyticPoly, bool]], spec: SpaceSpec,
                          sup_side: str = "lower") -> NormSequence:
-    """Norms of the weight iterates; equals the orbit of the constant 1."""
-    vals = np.array([space_norm(cache.weight_iterate(n), spec, sup_side=sup_side)
-                     for n in range(1, cache.horizon + 1)])
-    return NormSequence(values=vals, space=spec,
-                        provenance=space_provenance(spec, sup_side, cache.truncated),
-                        label="weight-norm", truncated=cache.truncated)
+    """Norms of the weight iterates; equals the orbit of the constant 1.
+
+    ``iterates`` yields (w(n), truncated) pairs in order: a stream from
+    ``iterates.weight_iterates`` or a ``WeightIterateCache``.  Each
+    w(n) is read once, and the last flag holds for the whole sequence.
+    """
+    vals, truncated = [], False
+    for wn, truncated in iterates:
+        vals.append(space_norm(wn, spec, sup_side=sup_side))
+    return NormSequence(values=np.array(vals), space=spec,
+                        provenance=space_provenance(spec, sup_side, truncated),
+                        label="weight-norm", truncated=truncated)
 
 
 def orbit_norm_sequence(op: WeightedCompOp, f: AnalyticPoly, spec: SpaceSpec,

@@ -14,12 +14,24 @@ import numbers
 import numpy as np
 
 __all__ = [
+    "SHORT_FACTOR_TAPS",
     "AnalyticPoly",
     "binomial_series",
     "compose",
     "compose_affine",
     "eval_on_circle",
 ]
+
+# A product whose shorter factor has at most this many coefficients is built
+# as a sum of scaled, shifted copies of the longer factor in one buffer; for
+# complex input np.convolve makes one BLAS dot call per output coefficient.
+# Measured with numpy 2.4 on one core, convolve against the tap loop: 33 us
+# against 9 us for 2 taps at length 1025, 95 us against 14 us at 3000, and
+# 36 us against 17 us for 4 taps at 1025.  Below about 256 coefficients the
+# loop loses by 1-9 us, but the factors of 3-4 taps the code builds (w o
+# phi^n for a weight of degree 2-3, (phi^n)^k for a candidate z^k) meet long
+# polynomials.
+SHORT_FACTOR_TAPS = 4
 
 
 class AnalyticPoly:
@@ -36,6 +48,14 @@ class AnalyticPoly:
             raise ValueError("coefficient sequence must be 1-d and non-empty")
         arr.setflags(write=False)
         self.coeffs = arr
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "AnalyticPoly":
+        """Wrap a fresh 1-d complex128 array that no one else holds, uncopied."""
+        poly = cls.__new__(cls)
+        arr.setflags(write=False)
+        poly.coeffs = arr
+        return poly
 
     @classmethod
     def zero(cls) -> "AnalyticPoly":
@@ -103,15 +123,12 @@ class AnalyticPoly:
 
     def __mul__(self, other):
         if isinstance(other, AnalyticPoly):
-            return AnalyticPoly(np.convolve(self.coeffs, other.coeffs))
+            return AnalyticPoly._adopt(_product(self.coeffs, other.coeffs))
         if isinstance(other, numbers.Number):
-            return AnalyticPoly(self.coeffs * other)
+            return AnalyticPoly._adopt(self.coeffs * complex(other))
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, numbers.Number):
-            return AnalyticPoly(self.coeffs * other)
-        return NotImplemented
+    __rmul__ = __mul__  # reached only for a scalar on the left
 
     def __call__(self, z):
         """Evaluate at a point or array of points."""
@@ -126,6 +143,21 @@ class AnalyticPoly:
         if len(c) > 6:
             return f"AnalyticPoly(degree={len(c) - 1})"
         return f"AnalyticPoly({list(c)})"
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficients of the product of two polynomials, full length, untruncated."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) > SHORT_FACTOR_TAPS:
+        return np.convolve(a, b)
+    n = len(a)
+    out = np.empty(n + len(b) - 1, dtype=np.complex128)
+    np.multiply(a, b[0], out=out[:n])
+    out[n:] = 0.0
+    for j in range(1, len(b)):
+        out[j : j + n] += a * b[j]
+    return out
 
 
 def compose_affine(f: AnalyticPoly, alpha, gamma) -> AnalyticPoly:
@@ -146,7 +178,7 @@ def compose_affine(f: AnalyticPoly, alpha, gamma) -> AnalyticPoly:
         out[1 : deg + 2] = gamma * out[1 : deg + 2] + alpha * out[: deg + 1]
         out[0] = gamma * out[0] + c[k]
         deg += 1
-    return AnalyticPoly(out)
+    return AnalyticPoly._adopt(out)
 
 
 def compose(f: AnalyticPoly, g: AnalyticPoly, max_degree: int | None = None) -> AnalyticPoly:
@@ -194,6 +226,7 @@ def eval_on_circle(f: AnalyticPoly, grid_size: int) -> np.ndarray:
         raise ValueError("grid size must be positive")
     c = f.coeffs
     if len(c) > grid_size:
-        pad = (-len(c)) % grid_size
-        c = np.pad(c, (0, pad)).reshape(-1, grid_size).sum(axis=0)
+        folded = np.zeros(-(-len(c) // grid_size) * grid_size, dtype=np.complex128)
+        folded[: len(c)] = c
+        c = folded.reshape(-1, grid_size).sum(axis=0)
     return np.fft.ifft(c, n=grid_size) * grid_size

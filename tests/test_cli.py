@@ -151,6 +151,19 @@ class TestClassifyCommand:
         err = capsys.readouterr().err
         assert "capped" in err and "sup norm" not in err
 
+    # The orbit overflows a double on purpose; numpy warns on the way.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_exits_instead_of_writing_infinity(self, tmp_path, capsys):
+        # log 0.9 + 0.49 log 100 = 2.15 per step: the orbit passes 1e308 near n = 330.
+        out = tmp_path / "verdict.json"
+        rc = main(["classify", "--w", "0.9*z", "--phi-affine", "0.01", "--space", "h2",
+                   "--horizon", "400", "--degree", "64", "--candidates", "s=-0.49",
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "li_yorke.growth_witness.value" in err and "overflowed" in err
+        assert not out.exists()
+
     def test_unknown_space_exit_code(self, capsys):
         rc = main(["classify", "--w", "1", "--phi-affine", "0.5", "--space", "l2"])
         assert rc == 2

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from wcochaos.series import (AnalyticPoly, binomial_series, compose,
+from wcochaos.series import (SHORT_FACTOR_TAPS, AnalyticPoly, binomial_series, compose,
                              compose_affine, eval_on_circle)
 
 
@@ -62,6 +63,55 @@ class TestArithmetic:
         if lead == 0:  # float underflow can kill the product's leading term
             return
         assert (ft * gt).trimmed().degree == ft.degree + gt.degree
+
+
+def complex_arrays(max_len):
+    """Complex coefficient arrays of length 1..max_len in the unit box."""
+    def box(n):
+        part = hnp.arrays(np.float64, n, elements=st.floats(-1, 1))
+        return st.tuples(part, part).map(lambda t: t[0] + 1j * t[1])
+    return st.integers(1, max_len).flatmap(box)
+
+
+class TestShortFactorKernel:
+    """Products with a short factor are built tap by tap, not by np.convolve."""
+
+    @given(short=complex_arrays(SHORT_FACTOR_TAPS + 2), long=complex_arrays(300))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_convolve_within_four_ulp(self, short, long):
+        want = np.convolve(short, long)
+        # Per coefficient, both roundings are bounded by the sum of |a_i||b_j|.
+        scale = np.convolve(np.abs(short), np.abs(long))
+        for a, b in ((short, long), (long, short)):
+            got = (AnalyticPoly(a) * AnalyticPoly(b)).coeffs
+            assert len(got) == len(want)
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(scale))
+
+    def test_zero_factor(self):
+        f = AnalyticPoly(np.linspace(-1, 1, 40) + 0.5j)
+        for zero in (AnalyticPoly.zero(), AnalyticPoly([0, 0]),
+                     AnalyticPoly(np.zeros(SHORT_FACTOR_TAPS + 1))):
+            for prod in (f * zero, zero * f):
+                assert len(prod.coeffs) == len(f.coeffs) + len(zero.coeffs) - 1
+                assert not np.any(prod.coeffs)
+
+    def test_monomial_factor_is_an_exact_shift(self):
+        f = AnalyticPoly(np.linspace(-1, 1, 40) * (0.3 - 0.7j) + 0.1j)
+        c = 0.375 - 1.25j
+        for k in range(SHORT_FACTOR_TAPS):  # every monomial of at most K taps
+            mono = AnalyticPoly.monomial(k, c)
+            for prod in (f * mono, mono * f):
+                assert len(prod.coeffs) == len(f.coeffs) + k
+                assert not np.any(prod.coeffs[:k])
+                assert np.array_equal(prod.coeffs[k:], f.coeffs * c)
+
+    def test_products_are_immutable(self):
+        prod = AnalyticPoly([1, 2, 3]) * AnalyticPoly([1, -1])
+        with pytest.raises(ValueError):
+            prod.coeffs[0] = 5.0
+        scaled = 2.0 * prod
+        with pytest.raises(ValueError):
+            scaled.coeffs[0] = 5.0
 
 
 class TestComposeAffine:
@@ -161,3 +211,12 @@ class TestEvaluation:
             direct = f(grid)
             fast = eval_on_circle(f, m)
             assert np.max(np.abs(direct - fast)) <= 1e-12 * (1 + np.max(np.abs(direct)))
+
+    def test_fold_matches_padded_rows_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        c = rng.uniform(-1, 1, 2901) + 1j * rng.uniform(-1, 1, 2901)
+        for m in (256, 1000, 2900, 2901):
+            pad = (-len(c)) % m
+            rows = np.pad(c, (0, pad)).reshape(-1, m).sum(axis=0)
+            want = np.fft.ifft(rows, n=m) * m
+            assert np.array_equal(eval_on_circle(AnalyticPoly(c), m), want)
