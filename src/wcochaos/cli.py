@@ -36,20 +36,25 @@ def _fmt(x) -> str:
 
 
 def sequence_csv(seq: NormSequence, extra: dict | None = None) -> str:
-    """Render a norm sequence per the fixed column schema (plus optional extras)."""
+    """Render a norm sequence per the fixed column schema (plus optional extras).
+
+    A non-finite cell is an error naming its row and column, never an inf or
+    nan in the file.
+    """
     v = seq.values
-    cesaro = sequence_stats(v).cesaro
-    rmin = np.minimum.accumulate(v)
-    rmax = np.maximum.accumulate(v)
-    cols = ["n", "norm", "cesaro_mean", "running_min", "running_max"]
-    extra_cols = list(extra) if extra else []
-    lines = [",".join(cols + extra_cols)]
-    for i in range(len(v)):
-        row = [str(i + 1), _fmt(float(v[i])), _fmt(float(cesaro[i])),
-               _fmt(float(rmin[i])), _fmt(float(rmax[i]))]
-        for name in extra_cols:
-            row.append(_fmt(float(extra[name][i])))
-        lines.append(",".join(row))
+    columns = {"norm": v, "cesaro_mean": sequence_stats(v).cesaro,
+               "running_min": np.minimum.accumulate(v),
+               "running_max": np.maximum.accumulate(v), **(extra or {})}
+    table = np.column_stack([np.asarray(col, dtype=np.float64) for col in columns.values()])
+    bad = np.argwhere(~np.isfinite(table))
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(f"non-finite {table[i, j]} at row n={i + 1}, column "
+                         f"{list(columns)[j]}: a norm or its running mean overflowed a "
+                         "double, and the CSV output admits no inf or nan")
+    lines = [",".join(["n", *columns])]
+    for n, row in enumerate(table, start=1):
+        lines.append(",".join([str(n), *map(_fmt, row.tolist())]))
     return "\n".join(lines) + "\n"
 
 

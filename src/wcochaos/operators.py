@@ -93,6 +93,10 @@ class NormSequence:
             raise ValueError("a norm sequence must hold at least one value")
         if np.any(arr < 0):
             raise ValueError("norms cannot be negative")
+        nan = np.flatnonzero(np.isnan(arr))
+        if len(nan):
+            raise ValueError(f"norm sequence {self.label!r} has its first NaN at n={nan[0] + 1}: "
+                             "an iterate overflowed a double")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 

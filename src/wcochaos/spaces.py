@@ -10,11 +10,16 @@ only bracketed: boundary-grid maximum from below, coefficient absolute sum
 from above.
 
 Quadrature cost is mostly inverse FFTs.  Automatic angular grids start at a
-5-smooth length (2^a 3^b 5^c), where numpy's FFT is fast, and doubling keeps
-them 5-smooth; a grid set through ``angular_grid`` is used as given.  Hardy
-doubling is nested: the doubled grid is the old grid plus its half-step
-offset, so only the offset samples are new.  The Gauss-Jacobi radial rule is
-cached per (order, beta).
+5-smooth length (2^a 3^b 5^c, looked up in a sorted table), where numpy's
+FFT is fast, and doubling keeps them 5-smooth; a grid set through
+``angular_grid`` is used as given.  Hardy doubling is nested: the doubled
+grid is the old grid plus its half-step offset, so only the offset samples
+are new.  The Gauss-Jacobi radial rule is cached per (order, beta), and
+scipy.special, which supplies it, is imported on first use.  A Bergman row
+at radius r sees the coefficients damped by r^k, so it keeps only the first
+K terms whose dropped tail lies below 2^-53 of a lower bound on the row's
+mean, on a grid sized for degree K; rows with similar K share one batched
+FFT.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .series import AnalyticPoly, eval_on_circle
 
@@ -161,30 +165,46 @@ def _even_integer(p: float) -> bool:
     return p == round(p) and int(round(p)) % 2 == 0
 
 
-def _fast_len(n: int) -> int:
-    """Smallest 5-smooth length 2^a 3^b 5^c that is at least n."""
-    best = 1 << max(n - 1, 0).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            m = p35
-            while m < n:
-                m *= 2
-            best = min(best, m)
-            p35 *= 3
-        p5 *= 5
-    return best
+def _smooth_table(limit: int) -> np.ndarray:
+    """Sorted 5-smooth numbers 2^a 3^b 5^c up to limit."""
+    t = [1]
+    for q in (2, 3, 5):
+        multiples = []
+        for m in t:
+            while m <= limit:
+                multiples.append(m)
+                m *= q
+        t = multiples
+    return np.array(sorted(t), dtype=np.int64)
+
+
+_SMOOTH = _smooth_table(1 << 40)
+
+
+def _fast_len(n):
+    """Smallest 5-smooth length 2^a 3^b 5^c that is at least n; elementwise
+    for an array of n."""
+    m = _SMOOTH[np.searchsorted(_SMOOTH, n)]
+    return int(m) if np.ndim(m) == 0 else m
+
+
+def _auto_grid(d, p: float):
+    """5-smooth length >= max(4d+1, 16), raised to >= p*d+1 for even p where
+    the exact rule needs more points; elementwise for an array of degrees."""
+    need = np.maximum(4 * d + 1, 16)
+    if _even_integer(p):
+        need = np.maximum(need, int(p) * d + 1)
+    return _fast_len(need)
 
 
 def _angular_grid(d: int, p: float, given: int | None) -> int:
-    """Starting grid: as given, else the 5-smooth length >= max(4d+1, 16);
-    for even p, raised to the 5-smooth length >= p*d+1 where the exact rule
-    needs more points."""
-    grid = given if given is not None else _fast_len(max(4 * d + 1, 16))
-    if _even_integer(p) and grid < int(p) * d + 1:
-        grid = _fast_len(int(p) * d + 1)
-    return grid
+    """Starting grid: _auto_grid, or the given one, raised for even p to the
+    5-smooth length >= p*d+1 where the exact rule needs more points."""
+    if given is None:
+        return _auto_grid(d, p)
+    if _even_integer(p) and given < int(p) * d + 1:
+        return _fast_len(int(p) * d + 1)
+    return given
 
 
 def _sum_abs_pow(f: AnalyticPoly, p: float, grid: int) -> float:
@@ -224,6 +244,14 @@ def quad_norm_hp(f: AnalyticPoly, p: float, angular_grid: int | None = None) -> 
         prev = cur
 
 
+def roots_jacobi(n: int, alpha: float, beta: float):
+    """scipy.special.roots_jacobi, imported on first use: scipy.special is
+    most of the package's import time and only the A^p_beta rule needs it."""
+    from scipy.special import roots_jacobi as roots
+
+    return roots(n, alpha, beta)
+
+
 @functools.lru_cache(maxsize=32)
 def _radial_rule(order: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Jacobi radii sqrt((x+1)/2) and weights, read-only."""
@@ -234,15 +262,57 @@ def _radial_rule(order: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return r, wq
 
 
-def _bergman_mean(f: AnalyticPoly, p: float, beta: float, order: int, grid: int) -> float:
+# Coefficient counts K_j a truncated A^p_beta row may keep, each about 1.5
+# times the last, so that one batched FFT per rung wastes at most a third of
+# its columns.  Below 16 terms a separate FFT call costs more than the points
+# it saves.
+_RUNGS = np.ceil(16.0 * 1.5 ** np.arange(56)).astype(np.int64)
+
+
+def _row_rungs(c: np.ndarray, r: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """For each radius r_i, the first j with
+
+        max_{k>=K} |c_k| * r^K / (1-r)  <=  2^-53 * max_k |c_k| r^k,  K = keep[j].
+
+    The left side bounds the dropped tail sum_{k>=K} c_k r^k e^{ikt} on the
+    circle.  The right side is a lower bound on the row's L^p mean (p >= 1),
+    which is at least its L^1 mean and so at least each Fourier coefficient
+    |c_k| r^k; the test fails while the largest term is in the tail, so it is
+    the same as taking the maximum over k < K only.  keep[-1] = len(c) always
+    passes.
+    """
+    log_r = np.log(r)[:, None]
+    with np.errstate(divide="ignore"):
+        log_a = np.log(np.abs(c))
+    # For r < 1 an earlier term at least as large always wins, so only the
+    # running-maximum records of |c_k| can be the largest |c_k| r^k.
+    rec = np.flatnonzero(log_a > np.maximum.accumulate(np.append(-np.inf, log_a[:-1])))
+    top = np.max(log_a[rec] + rec * log_r, axis=1, initial=-np.inf)
+    tail_max = np.append(np.maximum.accumulate(log_a[::-1])[::-1], -np.inf)
+    tail = tail_max[keep] + keep * log_r - np.log1p(-r)[:, None]
+    return np.argmax(tail <= top[:, None] - 53.0 * math.log(2.0), axis=1)
+
+
+def _bergman_mean(c: np.ndarray, p: float, beta: float, order: int, grid: int,
+                  scale: int) -> float:
     # Gauss-Jacobi on [-1, 1] with weight (1-x)^beta, mapped to u = (x+1)/2
     # in [0, 1]:  int_0^1 (1-u)^beta g(u) du = 2^(-beta-1) * sum w_i g(u_i).
+    # Rung j keeps the first K_j terms of a row on _auto_grid(K_j) * scale
+    # points, for the rungs shorter than the full grid; the last rung is the
+    # whole row on the full grid.  Rows of one rung share one batched FFT.
     r, wq = _radial_rule(order, beta)
-    c = f.coeffs
-    powers = r[:, None] ** np.arange(len(c))[None, :]
-    scaled = powers * c[None, :]
-    vals = np.fft.ifft(scaled, n=grid, axis=1) * grid
-    angular = np.mean(np.abs(vals) ** p, axis=1)
+    short = _RUNGS[_RUNGS < len(c)]
+    lengths = _auto_grid(short, p) * scale
+    keep = np.append(short[lengths < grid], len(c))
+    lengths = np.append(lengths[lengths < grid], grid)
+    rung = _row_rungs(c, r, keep) if len(keep) > 1 else np.zeros(len(r), dtype=np.int64)
+    angular = np.empty(len(r))
+    for j in np.unique(rung):
+        rows = np.flatnonzero(rung == j)
+        k, m = keep[j], lengths[j]
+        block = r[rows, None] ** np.arange(k) * c[:k]
+        vals = np.fft.ifft(block, n=m, axis=1) * m
+        angular[rows] = np.mean(np.abs(vals) ** p, axis=1)
     return float((beta + 1.0) * 2.0 ** (-(beta + 1.0)) * np.dot(wq, angular))
 
 
@@ -256,24 +326,35 @@ def quad_norm_bergman_p(f: AnalyticPoly, p: float, beta: float,
     the Jacobi rule absorbs the (1-u)^beta endpoint singularity for beta < 0.
     For p = 2 both rules are exact at the automatic orders; for other p the
     orders are doubled until the value settles to 1e-8 relative.
+
+    Each radius r < 1 sees the coefficients damped by r^k, so its row keeps
+    only the first K terms, where the dropped tail, at most
+    max_{k>=K}|c_k| r^K / (1-r) on the circle, is below 2^-53 times
+    max_{k<K}|c_k| r^k, a lower bound on the row's L^p mean.  The row's
+    angular grid is then sized for degree K (at least 4K+1 points, or p*K+1
+    for even p) rather than for deg f, and doubles with the full grid.
     """
     if not (1.0 < p < math.inf):
         raise ValueError("Bergman exponent must satisfy 1 < p < inf")
     if not beta > -1.0:
         raise ValueError("Bergman weight exponent must satisfy beta > -1")
-    d = f.trimmed().degree
+    c = f.trimmed().coeffs
+    d = len(c) - 1
     grid = _angular_grid(d, p, angular_grid)
     order = radial_order if radial_order is not None else DEFAULT_RADIAL_ORDER
     if _even_integer(p):
         # |f|^p is a trig polynomial in theta and a polynomial of degree
-        # p*d/2 in u; both rules below are exact.
+        # p*d/2 in u; both rules below are exact, up to the truncated rows'
+        # tails, which lie below rounding.
         order = max(order, int(p) * d // 4 + 2)
-        return _bergman_mean(f, p, beta, order, grid) ** (1.0 / p)
-    prev = _bergman_mean(f, p, beta, order, grid)
+        return _bergman_mean(c, p, beta, order, grid, 1) ** (1.0 / p)
+    prev = _bergman_mean(c, p, beta, order, grid, 1)
+    scale = 1
     while True:
         grid *= 2
         order *= 2
-        cur = _bergman_mean(f, p, beta, order, grid)
+        scale *= 2
+        cur = _bergman_mean(c, p, beta, order, grid, scale)
         if abs(cur - prev) <= BERGMAN_DOUBLING_TOL * max(cur, 1e-300):
             return cur ** (1.0 / p)
         if grid > MAX_ANGULAR_GRID:

@@ -52,6 +52,16 @@ class TestWeightsCommand:
         assert lines[1] == "1,1.0,1.0,1.0,1.0"
         assert lines[-1].startswith("50,1.0")
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_cell_exits_instead_of_writing_inf(self, tmp_path, capsys):
+        # The Cesaro sum overflows at n = 646, the norm itself at n = 647.
+        out = tmp_path / "weights.csv"
+        rc = main(["weights", "--w", "3*z", "--phi-affine", "0.25", "--space", "h2",
+                   "--horizon", "647", "--out", str(out)])
+        assert rc == 2
+        assert "row n=646, column cesaro_mean" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_self_map_exit_code(self, capsys):
         rc = main(["weights", "--w", "1", "--phi-affine", "1.2", "--space", "h2",
                    "--horizon", "5"])
@@ -162,6 +172,18 @@ class TestClassifyCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert "li_yorke.growth_witness.value" in err and "overflowed" in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_weight_norms_exit_instead_of_dropping_the_channel(self, tmp_path, capsys):
+        # |w(n)| ~ 3^n passes 1e308 at n = 647 and the weight norms are NaN
+        # from n = 648; the weight channel used to be skipped silently.
+        out = tmp_path / "verdict.json"
+        rc = main(["classify", "--w", "3*z", "--phi-affine", "0.25", "--space", "h2",
+                   "--horizon", "700", "--degree", "32", "--candidates", "s=0.5",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "'weight-norm' has its first NaN at n=648" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_space_exit_code(self, capsys):
@@ -280,6 +302,14 @@ class TestPresets:
         assert main(["preset", "unweighted", "--space", "hinf", "--horizon", "50",
                      "--out-dir", str(out)]) == 2
         assert "Re(s) >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_csv_preset_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "wp"
+        assert main(["preset", "weighted", "--lam", "3", "--space", "h2", "--degree", "64",
+                     "--horizon", "600", "--out-dir", str(out)]) == 2
+        assert "column norm" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unweighted_preset(self, tmp_path):

@@ -210,6 +210,14 @@ class TestOrbitSequences:
         with pytest.raises(ValueError):
             seq.value(3)
 
+    def test_norm_sequence_rejects_nan_but_keeps_inf(self):
+        values = np.array([1.0, np.inf, np.nan, np.nan])
+        with pytest.raises(ValueError, match=r"'weight-norm' has its first NaN at n=3"):
+            NormSequence(values=values, space=Hardy(2), provenance="quadrature",
+                         label="weight-norm")
+        seq = NormSequence(values=values[:2], space=Hardy(2), provenance="quadrature")
+        assert seq.value(2) == np.inf
+
 
 class TestEigenOrbit:
     def test_matches_direct_route_for_polynomial_eigenvectors(self):

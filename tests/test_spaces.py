@@ -1,13 +1,17 @@
 """Norm evaluation: coefficient formulas, quadrature rules, brackets."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scipy.special import roots_jacobi
+from scipy.special import gammaln, roots_jacobi
 
+import wcochaos
 from wcochaos import spaces
 from wcochaos.experiments import ExperimentConfig, build_operator
 from wcochaos.series import AnalyticPoly, binomial_series, eval_on_circle
@@ -181,6 +185,13 @@ class TestQuadratureKernels:
         assert calls and len(calls) == len(set(calls))
         assert {(128, 0.5), (128, -0.5)} <= set(calls)
 
+    def test_scipy_special_is_imported_on_first_use(self):
+        src = str(Path(wcochaos.__file__).resolve().parents[1])
+        code = "import sys, wcochaos.cli; print('scipy.special' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={"PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
+
     @pytest.mark.parametrize("p", [1.5, 3])
     def test_hardy_against_high_resolution_rule(self, p):
         f = _zero_free_poly(120)
@@ -217,6 +228,89 @@ class TestQuadratureKernels:
             for p in (1.5, 3, 4):
                 quad_norm_bergman_p(f, p, 0.5)
         assert lengths and all(_smooth(m) for m in lengths), sorted(set(lengths))
+
+
+def _smallest_cutoffs(c, r):
+    # K_i = min K with max_{k>=K}|c_k| r^K / (1-r) <= 2^-53 max_{k<K}|c_k| r^k,
+    # evaluated directly on every K.
+    a, k = np.abs(c), np.arange(1, len(c) + 1)
+    head = np.maximum.accumulate(a * r[:, None] ** (k - 1), axis=1)
+    tail_max = np.append(np.maximum.accumulate(a[::-1])[::-1][1:], 0.0)
+    tail = tail_max * r[:, None] ** k / (1 - r[:, None])
+    return np.argmax(tail <= 2.0**-53 * head, axis=1) + 1
+
+
+def _untruncated_bergman(f, beta, ps):
+    # Every row keeps every coefficient: order 512 on a 2^14-point grid.
+    nodes, wq = roots_jacobi(512, beta, 0.0)
+    r = np.sqrt((nodes + 1) / 2)
+    k = np.arange(len(f.coeffs))
+    angular = np.empty((len(ps), len(r)))
+    for i in range(0, len(r), 64):
+        vals = np.abs(np.fft.ifft(r[i:i + 64, None] ** k * f.coeffs, n=1 << 14, axis=1)) * (1 << 14)
+        angular[:, i:i + 64] = [np.mean(vals**p, axis=1) for p in ps]
+    return {p: ((beta + 1) * 2 ** (-(beta + 1)) * np.dot(wq, row)) ** (1 / p)
+            for p, row in zip(ps, angular)}
+
+
+class TestTruncatedBergmanRows:
+    @pytest.mark.parametrize("beta", [-0.5, 0.5, 2])
+    def test_against_untruncated_rule(self, beta):
+        # Complex coefficients, with and without a constant term.
+        g = AnalyticPoly(_zero_free_poly(120).coeffs * np.exp(0.7j * np.arange(121)) * (1 - 2j))
+        for f in (g, AnalyticPoly([0, 1]) * g):
+            ps = (1.5, 3, 4)
+            for p, ref in _untruncated_bergman(f, beta, ps).items():
+                assert quad_norm_bergman_p(f, p, beta) == pytest.approx(ref, rel=1e-8)
+
+    @pytest.mark.parametrize("beta", [-0.5, 0.5, 2])
+    @pytest.mark.parametrize("p", [1.5, 3, 4])
+    def test_monomial_closed_form(self, p, beta):
+        # ||z^m||^p = (beta+1) B(m p/2 + 1, beta + 1): every coefficient but
+        # the last is zero, so no row can lean on a leading term.
+        m = 200
+        log_ref = gammaln(beta + 2) + gammaln(m * p / 2 + 1) - gammaln(m * p / 2 + beta + 2)
+        got = quad_norm_bergman_p(AnalyticPoly.monomial(m), p, beta)
+        assert got == pytest.approx(math.exp(log_ref / p), rel=1e-8)
+
+    @pytest.mark.parametrize("p", [1.5, 3, 4])
+    def test_zero_and_constant(self, p):
+        assert quad_norm_bergman_p(AnalyticPoly.zero(), p, 0.5) == 0.0
+        assert quad_norm_bergman_p(AnalyticPoly([0.0, 0.0, 0.0]), p, 2) == 0.0
+        assert quad_norm_bergman_p(AnalyticPoly([2.5 - 1j]), p, -0.5) == pytest.approx(
+            abs(2.5 - 1j), rel=1e-12)
+
+    @pytest.mark.parametrize("degree", [256, 1024])
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_each_row_in_one_rung_with_enough_terms_and_points(self, degree, p, monkeypatch):
+        calls = []
+        ifft = np.fft.ifft
+
+        def recording(a, n=None, axis=-1, **kwargs):
+            calls.append((np.array(a), n))
+            return ifft(a, n=n, axis=axis, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", recording)
+        c = binomial_series(-0.2, degree).coeffs  # c_1 = 0.2 identifies each row
+        grid0 = spaces._angular_grid(degree, p, None)
+        for order, scale in ((128, 1), (256, 2)):
+            calls.clear()
+            spaces._bergman_mean(c, p, 0.5, order, grid0 * scale, scale)
+            r, _ = spaces._radial_rule(order, 0.5)
+            need = _smallest_cutoffs(c, r)
+            seen = np.zeros(len(r), dtype=int)
+            assert len(calls) <= 12
+            for block, m in calls:
+                rows = np.searchsorted(r, block[:, 1].real / c[1].real - 1e-15)
+                np.testing.assert_allclose(r[rows], block[:, 1].real / c[1].real, rtol=1e-14)
+                seen[rows] += 1
+                assert _smooth(m) and m >= 16
+                if m != grid0 * scale:  # a truncated rung
+                    assert block.shape[1] < len(c)
+                    assert np.all(block.shape[1] >= need[rows])
+                    assert np.all(m >= (4 * need[rows] + 1) * scale)
+            assert np.all(seen == 1)
+            assert len(calls) > 1  # some rows were truncated
 
 
 class TestSupBracket:
