@@ -10,7 +10,8 @@ the true norms, so the certificates refuse weight sequences computed from
 capped arithmetic or tagged bracket-lower.  A growth claim compares max v_n
 with the bar G*v_1 taken from the same sequence, so it needs a lower bound
 above and an upper bound below; it is sound only for exact-coefficient or
-quadrature values.  In H^inf one bracket side still serves every channel,
+quadrature values, and an orbit computed under a degree cap takes no part
+in it.  In H^inf one bracket side still serves every channel,
 so a growth claim there is not sound until each side is routed to the test
 it bounds correctly.
 """
@@ -174,12 +175,15 @@ def _try_rate(values: np.ndarray) -> float | None:
         return None
 
 
-def _growth_scan(channels: list[np.ndarray], growth_factor: float) -> GrowthWitness | None:
+def _growth_scan(channels: list, growth_factor: float) -> GrowthWitness | None:
     """First channel whose maximum exceeds growth_factor times its first value.
 
-    channels[0] is the weight-norm channel and channels[i] is orbit i - 1.
+    channels[0] is the weight-norm channel and channels[i] is orbit i - 1;
+    a channel that is None is skipped.
     """
     for i, vals in enumerate(channels):
+        if vals is None:
+            continue
         st = sequence_stats(vals)
         if st.max_value > growth_factor * vals[0]:
             return GrowthWitness(channel="orbit" if i else "weight-norm",
@@ -222,11 +226,14 @@ def _certify(evidence: str, weight_seq: NormSequence, orbit_seqs, epsilon: float
         raise ValueError("decay test refuses a bracket-lower weight sequence "
                          "(grid maxima underestimate the sup norm)")
     wv = weight_seq.values
-    channels = [wv] + [_values(o) for o in orbit_seqs]
+    # A capped orbit's v_1 is a partial sum below the true norm, so the bar
+    # G * v_1 proves nothing: such an orbit takes no part in the growth scan.
+    channels = [wv] + [None if isinstance(o, NormSequence) and o.truncated else _values(o)
+                       for o in orbit_seqs]
     if evidence == KIND_MEAN_LI_YORKE:
         lo, hi = decay_window(len(wv))
         decay_index, decay_value = lo, float(np.mean(wv[lo - 1 : hi]))
-        channels = [sequence_stats(v).cesaro for v in channels]
+        channels = [None if v is None else sequence_stats(v).cesaro for v in channels]
     else:
         stats = sequence_stats(wv)
         decay_index, decay_value = stats.argmin, stats.min_value

@@ -20,7 +20,7 @@ import numpy as np
 from .chaos import ChaosVerdict, eigen_residual, fit_window, growth_rate_fit, sequence_stats
 from .experiments import (SCHEMA_VERSION, ClassifyResult, ExperimentConfig,
                           build_operator, candidate_orbit, parse_candidate,
-                          run_classify, run_sweep_cell)
+                          run_classify, sweep_task)
 from .iterates import weight_iterates
 from .operators import NormSequence, orbit_norm_sequence, weight_norm_sequence
 from .series import AnalyticPoly
@@ -217,12 +217,19 @@ def cmd_sweep(args) -> int:
     if len(xs) * len(ys) > 10_000:
         raise ValueError("sweep grid exceeds 10000 cells")
     base = _config_from_args(args).to_dict()
-    cells = [(kind, float(x), float(y), base) for x in xs for y in ys]
+    xs, ys = [float(x) for x in xs], [float(y) for y in ys]
+    if kind == "lambda-a":
+        tasks = [(kind, xs, y, base) for y in ys]  # one per a column
+    else:
+        tasks = [(kind, [x], y, base) for x in xs for y in ys]  # one per cell
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(run_sweep_cell, cells))
+            columns = list(pool.map(sweep_task, tasks))
     else:
-        rows = [run_sweep_cell(c) for c in cells]
+        columns = [sweep_task(t) for t in tasks]
+    # Grid order, x outer and y inner: the i-th rows of the lambda-a columns
+    # form row i of the grid, and the one-cell p-beta tasks are already in it.
+    rows = [row for cells in zip(*columns) for row in cells]
 
     xname, yname = ("lam", "a") if kind == "lambda-a" else ("p", "beta")
     header = [xname, yname, "space", "li_kind", "mean_kind", "decay_n", "decay_value",
@@ -230,18 +237,22 @@ def cmd_sweep(args) -> int:
               "epsilon", "growth_factor", "horizon"]
     lines = [",".join(header)]
     space = base["space"] if kind == "lambda-a" else "bergman"
-    for (k, x, y, _), row in zip(cells, rows):
+    for row in rows:
         li = row["li"]
-        d = ["" , ""] if li.decay is None else [str(li.decay.index), _fmt(li.decay.value)]
+        d = [None, None] if li.decay is None else [li.decay.index, li.decay.value]
         if li.growth is None:
-            g = ["", "", "", "", ""]
+            g = [None] * 5
         else:
-            g = [li.growth.channel, "" if li.growth.orbit is None else str(li.growth.orbit),
-                 str(li.growth.index), _fmt(li.growth.value),
-                 "" if li.growth.rate is None else _fmt(li.growth.rate)]
-        lines.append(",".join([_fmt(x), _fmt(y), space, row["li_kind"], row["mean_kind"],
-                               *d, *g, _fmt(li.epsilon), _fmt(li.growth_factor),
-                               str(li.horizon)]))
+            g = [li.growth.channel, li.growth.orbit, li.growth.index, li.growth.value,
+                 li.growth.rate]
+        cells = [row["x"], row["y"], space, li.kind, row["mean"].kind, *d, *g,
+                 li.epsilon, li.growth_factor, li.horizon]
+        for name, cell in zip(header, cells):
+            if isinstance(cell, float) and not np.isfinite(cell):
+                raise ValueError(f"non-finite {cell} in sweep cell {xname}={row['x']!r}, "
+                                 f"{yname}={row['y']!r}, column {name}: a norm overflowed a "
+                                 "double, and the CSV output admits no inf or nan")
+        lines.append(",".join("" if c is None else _fmt(c) for c in cells))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -2,14 +2,28 @@
 
 A single ExperimentConfig describes symbols, space, truncation degree,
 horizon, thresholds and candidate vectors; it round-trips losslessly
-through JSON (schema_version 1).  The run_* helpers build the operator,
-norm sequences and certificates used by the CLI subcommands and presets.
+through JSON (schema_version 1).  ``build_sequences`` builds the operator,
+the weight norms and the candidate orbits; ``run_classify`` adds both
+certificates, for the CLI subcommands and presets.
+
+A ``lambda-a`` sweep varies w = lam z and phi = a z + 1 - a.  Every weight
+iterate is then w(n) = lam^n w(n)|_{lam=1}, and every orbit element is
+T_lam^n g = lam^n T_1^n g, so each norm, in every space and on both sides
+of the H^inf bracket, is |lam|^n times its lam = 1 value:
+
+    log v_n(lam) = n log|lam| + log v_n(1).
+
+``sweep_task`` builds the lam = 1 sequences once per a and scales them in
+log space for every lam of the column; only the certificates run per cell.
 """
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
+
+import numpy as np
 
 from .series import AnalyticPoly, binomial_series
 from .iterates import weight_iterates
@@ -27,8 +41,9 @@ __all__ = [
     "parse_candidate",
     "build_operator",
     "candidate_orbit",
+    "build_sequences",
     "run_classify",
-    "run_sweep_cell",
+    "sweep_task",
     "ClassifyResult",
 ]
 
@@ -166,8 +181,8 @@ class ClassifyResult:
     mean_li_yorke: ChaosVerdict
 
 
-def run_classify(config: ExperimentConfig) -> ClassifyResult:
-    """Weight sequence, candidate orbits and both certificates for a config.
+def build_sequences(config: ExperimentConfig) -> tuple[NormSequence, list[NormSequence]]:
+    """Weight norm sequence and candidate orbits for a config.
 
     Every candidate is checked for membership before any sequence is built.
     """
@@ -185,32 +200,72 @@ def run_classify(config: ExperimentConfig) -> ClassifyResult:
     weight_seq = weight_norm_sequence(iterates, spec, sup_side=config.sup_side)
     orbits = [candidate_orbit(op, c, spec, config.degree, config.horizon, cache=cache)
               for c in config.candidates]
-    li = certify_li_yorke(weight_seq, orbits, epsilon=config.epsilon,
-                          growth_factor=config.growth_factor)
-    mean = certify_mean_li_yorke(weight_seq, orbits, epsilon=config.epsilon,
-                                 growth_factor=config.growth_factor)
+    return weight_seq, orbits
+
+
+def _verdicts(config: ExperimentConfig, weight_seq: NormSequence,
+              orbits: list) -> tuple[ChaosVerdict, ChaosVerdict]:
+    """The Li-Yorke and mean Li-Yorke certificates of one set of sequences."""
+    kw = {"epsilon": config.epsilon, "growth_factor": config.growth_factor}
+    return (certify_li_yorke(weight_seq, orbits, **kw),
+            certify_mean_li_yorke(weight_seq, orbits, **kw))
+
+
+def run_classify(config: ExperimentConfig) -> ClassifyResult:
+    """Weight sequence, candidate orbits and both certificates for a config."""
+    weight_seq, orbits = build_sequences(config)
+    li, mean = _verdicts(config, weight_seq, orbits)
     return ClassifyResult(config=config, weight_seq=weight_seq, orbit_seqs=orbits,
                           li_yorke=li, mean_li_yorke=mean)
 
 
-def run_sweep_cell(args: tuple) -> dict:
-    """One sweep cell; module-level so worker pools can pickle it.
+def _scaled(seq: NormSequence, logs: np.ndarray, lam: float, a: float) -> NormSequence:
+    """The lam = 1 sequence ``seq`` with log norms ``logs``, scaled to w = lam z."""
+    if lam == 0:
+        values = np.zeros(len(logs))
+    else:
+        n = np.arange(1, len(logs) + 1)
+        with np.errstate(over="ignore"):
+            values = np.exp(n * math.log(abs(lam)) + logs)
+        inf = np.flatnonzero(np.isinf(values))
+        if len(inf):
+            raise ValueError(f"sweep cell lam={lam!r}, a={a!r}: {seq.label} overflows a "
+                             f"double at n={inf[0] + 1}")
+    return replace(seq, values=values, log_values=None)
 
-    ``args`` is (kind, x, y, base_config_dict) where kind selects the grid
-    axes: 'lambda-a' varies the weight scale and the symbol parameter,
-    'p-beta' varies the Bergman space.
+
+def sweep_task(args: tuple) -> list[dict]:
+    """Rows of one sweep task; module-level so worker pools can pickle it.
+
+    ``args`` is (kind, xs, y, base_config_dict), and the rows hold the x,
+    y and both verdicts of each cell (x, y) in the order of ``xs``.
+    'lambda-a' takes a whole column: xs are the weight scales lam and y is
+    the symbol parameter a; the lam = 1 sequences are built once and every
+    lam scales them (see the module docstring).  'p-beta' takes one cell:
+    xs is [p] and y is beta of the Bergman space.
     """
-    kind, x, y, base = args
+    kind, xs, y, base = args
     config = ExperimentConfig.from_dict(base)
+    rows = []
     if kind == "lambda-a":
-        config.weight = f"{x!r}*z"
-        config.phi_affine = y
+        if config.phi_poly is not None:
+            raise ValueError("a lambda-a sweep varies the affine self-map a*z + 1 - a and "
+                             "cannot use a polynomial self-map (--phi-poly or phi_poly)")
+        if not xs:
+            return rows
+        config.weight, config.phi_affine = "1.0*z", y
+        weight_seq, orbits = build_sequences(config)
+        seqs = [weight_seq, *orbits]
+        logs = [seq.log_norms() for seq in seqs]
+        for lam in xs:
+            scaled = [_scaled(seq, log, lam, y) for seq, log in zip(seqs, logs)]
+            li, mean = _verdicts(config, scaled[0], scaled[1:])
+            rows.append({"x": lam, "y": y, "li": li, "mean": mean})
     elif kind == "p-beta":
-        config.space = f"bergman:{x!r}:{y!r}"
+        for p in xs:
+            config.space = f"bergman:{p!r}:{y!r}"
+            result = run_classify(config)
+            rows.append({"x": p, "y": y, "li": result.li_yorke, "mean": result.mean_li_yorke})
     else:
         raise ValueError(f"unknown sweep kind {kind!r}")
-    result = run_classify(config)
-    row = {"x": x, "y": y, "kind": kind,
-           "li_kind": result.li_yorke.kind, "mean_kind": result.mean_li_yorke.kind,
-           "li": result.li_yorke, "mean": result.mean_li_yorke}
-    return row
+    return rows

@@ -16,7 +16,7 @@ from __future__ import annotations
 from .series import AnalyticPoly
 from .symbols import SelfMapSymbol, WeightSymbol
 
-__all__ = ["WeightIterateCache", "weight_iterate_sequence", "weight_iterates"]
+__all__ = ["WeightIterateCache", "first_capped", "weight_iterate_sequence", "weight_iterates"]
 
 
 class WeightIterateCache:
@@ -26,8 +26,9 @@ class WeightIterateCache:
     index; sequential consumers stream ``weight_iterates`` instead.  For
     affine symbols everything is exact and deg w(n) = n * deg w; with a
     degree cap (mandatory for polynomial symbols) the stored coefficients are
-    exact partial sums and ``truncated`` records that the sequence only
-    bounds the true iterates from below in coefficient norms.  Iterating the
+    exact partial sums and ``truncated`` records that the cap dropped a
+    nonzero coefficient, so that the sequence only bounds the true iterates
+    from below in coefficient norms.  Iterating the
     cache yields (w(n), truncated) pairs, like ``weight_iterates``.
     """
 
@@ -69,29 +70,51 @@ def _require_iterable(phi: SelfMapSymbol, horizon: int) -> None:
         raise ValueError("horizon must be at least 1")
 
 
+def first_capped(w: WeightSymbol, phi: SelfMapSymbol, horizon: int,
+                 max_degree: int | None, f_degree: int = 0) -> int:
+    """First n in 1..horizon where the cap drops a nonzero coefficient of
+    w(n) * (f o phi^n) for an f of degree ``f_degree``; horizon + 1 if none.
+
+    Leading coefficients multiply and never cancel, so the exact degree is
+    deg f * d^n + deg w * (1 + d + ... + d^(n-1)) with d = deg phi, and a
+    capped coefficient is nonzero exactly when that degree passes the cap.
+    """
+    if max_degree is None:
+        return horizon + 1
+    d, e = phi.degree, w.poly.trimmed().degree
+    reach, w_degree = 1, 0  # d^n, saturated above the cap; deg w(n)
+    for n in range(1, horizon + 1):
+        w_degree += e * reach
+        reach = min(reach * d, max_degree + 1)
+        if f_degree * reach + w_degree > max_degree:
+            return n
+    return horizon + 1
+
+
 def _steps(w: WeightSymbol, symbols: list[SelfMapSymbol], max_degree: int | None,
-           truncated: bool):
-    """(w(n), truncated) for n = 1..len(symbols)-1 by w(n+1) = w(n) * (w o phi^n)."""
+           capped_from: int):
+    """(w(n), n >= capped_from) for n = 1..len(symbols)-1 by w(n+1) = w(n) * (w o phi^n)."""
     current = w.poly
-    yield current, truncated
-    for it in symbols[1:-1]:
+    yield current, capped_from <= 1
+    for n, it in enumerate(symbols[1:-1], start=2):
         current = current * it.compose_into(w.poly, max_degree=max_degree)
         if max_degree is not None and current.degree > max_degree:
             current = current.truncated(max_degree)
-            truncated = True
-        yield current, truncated
+        yield current, n >= capped_from
 
 
 def weight_iterates(w: WeightSymbol, phi: SelfMapSymbol, horizon: int,
                     max_degree: int | None = None):
     """Stream (w(n), truncated) for n = 1..horizon, one iterate alive at a time.
 
-    ``truncated`` turns true with the first capped iterate and stays true;
-    polynomial symbols are truncated from the start.  The symbol is checked
-    when the stream is made, not when it is first read.
+    ``truncated`` turns true with the first iterate from which the cap drops
+    a nonzero coefficient, of the product or of a symbol iterate it uses,
+    and stays true.  The symbol is checked when the stream is made, not when
+    it is first read.
     """
     _require_iterable(phi, horizon)
-    return _steps(w, phi.iterates(horizon, max_degree), max_degree, phi.kind != "affine")
+    return _steps(w, phi.iterates(horizon, max_degree), max_degree,
+                  first_capped(w, phi, horizon, max_degree))
 
 
 def weight_iterate_sequence(w: WeightSymbol, phi: SelfMapSymbol, horizon: int,
@@ -100,11 +123,12 @@ def weight_iterate_sequence(w: WeightSymbol, phi: SelfMapSymbol, horizon: int,
 
     Affine symbols run uncapped by default (the degree grows linearly);
     polynomial symbols require max_degree because their composition degree
-    grows geometrically, and the result is marked truncated.
+    grows geometrically, and the result is marked truncated once the cap
+    drops a nonzero coefficient of some w(n).
     """
     _require_iterable(phi, horizon)
     symbols = phi.iterates(horizon, max_degree)
-    steps = list(_steps(w, symbols, max_degree, phi.kind != "affine"))
+    steps = list(_steps(w, symbols, max_degree, first_capped(w, phi, horizon, max_degree)))
     return WeightIterateCache(w=w, phi=phi, horizon=horizon,
                               weights=[wn for wn, _ in steps],
                               symbol_iterates=symbols, max_degree=max_degree,

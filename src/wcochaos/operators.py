@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .iterates import WeightIterateCache, weight_iterate_sequence
+from .iterates import WeightIterateCache, first_capped, weight_iterate_sequence
 from .series import AnalyticPoly, binomial_series, compose_affine
 from .spaces import SpaceSpec, require_in_space, space_norm, space_provenance
 from .symbols import SelfMapSymbol, WeightSymbol
@@ -79,6 +79,8 @@ class NormSequence:
     ``provenance`` is one of exact-coefficient, quadrature, bracket-lower,
     bracket-upper; ``truncated`` marks values computed from capped
     arithmetic.  Certificates consult both before trusting a decay claim.
+    ``log_values``, when a producer tracks its scale in log space, holds
+    log v_n even where v_n itself leaves the double range.
     """
 
     values: np.ndarray
@@ -86,6 +88,7 @@ class NormSequence:
     provenance: str
     label: str = ""
     truncated: bool = False
+    log_values: np.ndarray | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
@@ -99,6 +102,12 @@ class NormSequence:
                              "an iterate overflowed a double")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
+        if self.log_values is not None:
+            logs = np.asarray(self.log_values, dtype=np.float64)
+            if logs.shape != arr.shape:
+                raise ValueError("log_values must match values in length")
+            logs.setflags(write=False)
+            object.__setattr__(self, "log_values", logs)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -112,6 +121,13 @@ class NormSequence:
         if not 1 <= n <= len(self.values):
             raise ValueError(f"index {n} outside 1..{len(self.values)}")
         return float(self.values[n - 1])
+
+    def log_norms(self) -> np.ndarray:
+        """log v_n; -inf where v_n = 0."""
+        if self.log_values is not None:
+            return self.log_values
+        with np.errstate(divide="ignore"):
+            return np.log(self.values)
 
 
 def weight_norm_sequence(iterates: Iterable[tuple[AnalyticPoly, bool]], spec: SpaceSpec,
@@ -142,10 +158,11 @@ def orbit_norm_sequence(op: WeightedCompOp, f: AnalyticPoly, spec: SpaceSpec,
         raise ValueError("cache horizon too small for requested orbit")
     vals = np.array([space_norm(op.apply_n(f, n, cache), spec, sup_side=sup_side)
                      for n in range(1, horizon + 1)])
+    degree = f.trimmed().degree
+    truncated = first_capped(op.w, op.phi, horizon, cache.max_degree, degree) <= horizon
     return NormSequence(values=vals, space=spec,
-                        provenance=space_provenance(spec, sup_side, cache.truncated),
-                        label=f"orbit deg={f.trimmed().degree}",
-                        truncated=cache.truncated)
+                        provenance=space_provenance(spec, sup_side, truncated),
+                        label=f"orbit deg={degree}", truncated=truncated)
 
 
 def eigen_orbit_norm_sequence(op: WeightedCompOp, s, degree: int, spec: SpaceSpec,
@@ -178,7 +195,7 @@ def eigen_orbit_norm_sequence(op: WeightedCompOp, s, degree: int, spec: SpaceSpe
     # The running polynomial is renormalized each step and the scale kept in
     # log space: |mu|^n alone can overflow a double long before the orbit
     # value itself does.
-    vals = np.empty(horizon)
+    logs = np.empty(horizon)
     log_scale = 0.0
     product = g * op.w.poly  # w(1) * g
     for n in range(1, horizon + 1):
@@ -188,14 +205,18 @@ def eigen_orbit_norm_sequence(op: WeightedCompOp, s, degree: int, spec: SpaceSpe
         if power:
             term = term * compose_affine(z_power, it.alpha, it.gamma)
         nrm = space_norm(term, spec, sup_side=sup_side)
-        vals[n - 1] = float(np.exp(log_scale + np.log(nrm))) if nrm > 0 else 0.0
+        logs[n - 1] = log_scale + np.log(nrm) if nrm > 0 else -np.inf
         if n < horizon:
             product = product * compose_affine(op.w.poly, it.alpha, it.gamma)
             peak = float(np.max(np.abs(product.coeffs)))
             if peak > 0:
                 product = (1.0 / peak) * product
                 log_scale += math.log(peak)
+    # A value past the double range reads inf here; log_values keeps it, and
+    # every output step refuses the inf.
+    with np.errstate(over="ignore"):
+        vals = np.exp(logs)
     label = f"eigen-orbit s={s} k={power} D={degree}"
     return NormSequence(values=vals, space=spec,
                         provenance=space_provenance(spec, sup_side, False),
-                        label=label, truncated=False)
+                        label=label, truncated=False, log_values=logs)

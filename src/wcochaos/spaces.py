@@ -2,7 +2,8 @@
 
 Hilbert-space norms (Hardy p=2, Bergman p=2) are evaluated exactly from
 coefficients, rescaled by a power of two when the squares would leave the
-double range; general p goes through quadrature.  Hardy norms are taken
+double range; general p goes through quadrature, rescaled likewise when
+|f|^p would leave the normal doubles.  Hardy norms are taken
 directly at radius 1: every representable function is a polynomial, hence
 continuous up to the boundary, so the radial supremum in the defining
 integral is attained there and no radial sweep is needed.  The sup norm is
@@ -129,8 +130,28 @@ def _rescaled_norm(norm, c: np.ndarray) -> float:
     if 1e-140 <= out <= 1e140:
         return out
     e = int(np.frexp(np.max(np.abs(c)))[1])
-    scaled = np.ldexp(c.view(np.float64), -e).view(np.complex128)
-    return float(np.ldexp(norm(scaled), e))
+    return float(np.ldexp(norm(_times_two_to(c, -e)), e))
+
+
+def _times_two_to(c: np.ndarray, e: int) -> np.ndarray:
+    """c * 2^e, exact unless it leaves the double range."""
+    return np.ldexp(c.view(np.float64), e).view(np.complex128)
+
+
+def _quadrature_scale(c: np.ndarray, p: float) -> int:
+    """Binary exponent e by which a quadrature of |f|^p rescales c, or 0.
+
+    The grid mean of |f|^p lies between max|c_k|^p (an L^p mean is at least
+    every Fourier coefficient) and (sum |c_k|)^p <= (len(c) max|c_k|)^p.
+    While the first is at least 2^-968 and the grid sum of the second, over
+    at most 2^23 points, stays below 2^1023, the samples that carry the mean
+    are normal doubles and 0 is returned; otherwise e = the exponent of
+    max|c_k|, and c * 2^-e has its largest modulus in [1/2, 1).
+    """
+    e = math.frexp(np.abs(c).max())[1]
+    if p * (e - 1) >= -968 and p * (e + len(c).bit_length()) <= 1000:
+        return 0
+    return e
 
 
 def coeff_norm_h2(f: AnalyticPoly) -> float:
@@ -220,10 +241,15 @@ def quad_norm_hp(f: AnalyticPoly, p: float, angular_grid: int | None = None) -> 
     until the relative change is below 1e-9.  Doubling is nested: the
     samples of the M-point grid are kept in a running sum, and the new half
     of the 2M-point grid, the points shifted by pi/M, is the M-point inverse
-    FFT of the twisted coefficients c_j exp(i pi j / M).
+    FFT of the twisted coefficients c_j exp(i pi j / M).  Where |f|^p would
+    leave the normal doubles, f is scaled by a power of two first.
     """
     if not (1.0 <= p < math.inf):
         raise ValueError("Hardy exponent must satisfy 1 <= p < inf")
+    e = _quadrature_scale(f.coeffs, p)
+    if e:
+        scaled = AnalyticPoly._adopt(_times_two_to(f.coeffs, -e))
+        return math.ldexp(quad_norm_hp(scaled, p, angular_grid), e)
     d = f.trimmed().degree
     if angular_grid is not None and angular_grid < 4 * d + 1:
         raise ValueError("angular grid must have at least 4*deg(f) + 1 points")
@@ -333,11 +359,17 @@ def quad_norm_bergman_p(f: AnalyticPoly, p: float, beta: float,
     max_{k<K}|c_k| r^k, a lower bound on the row's L^p mean.  The row's
     angular grid is then sized for degree K (at least 4K+1 points, or p*K+1
     for even p) rather than for deg f, and doubles with the full grid.
+    Where |f|^p would leave the normal doubles, f is scaled by a power of
+    two first.
     """
     if not (1.0 < p < math.inf):
         raise ValueError("Bergman exponent must satisfy 1 < p < inf")
     if not beta > -1.0:
         raise ValueError("Bergman weight exponent must satisfy beta > -1")
+    e = _quadrature_scale(f.coeffs, p)
+    if e:
+        scaled = AnalyticPoly._adopt(_times_two_to(f.coeffs, -e))
+        return math.ldexp(quad_norm_bergman_p(scaled, p, beta, radial_order, angular_grid), e)
     c = f.trimmed().coeffs
     d = len(c) - 1
     grid = _angular_grid(d, p, angular_grid)

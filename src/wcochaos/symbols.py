@@ -68,6 +68,13 @@ class SelfMapSymbol:
             return self.alpha * z + self.gamma
         return self.poly(z)
 
+    @property
+    def degree(self) -> int:
+        """Degree of phi as a function: 0 for a constant map, deg phi otherwise."""
+        if self.kind == "affine":
+            return 0 if self.alpha == 0 else 1
+        return self.poly.trimmed().degree
+
     def fixes_one(self, tol: float = 1e-12) -> bool:
         """True for affine maps with alpha + gamma = 1 (fixed point z = 1)."""
         if self.kind != "affine":

@@ -64,6 +64,15 @@ class TestIrregularWitness:
         v = 0.5 ** np.arange(1, 200)
         assert not irregular_witness(synth(v), 1e-10, 1e3).fired
 
+    def test_capped_orbit_stays_out_of_the_growth_scan(self):
+        v = 0.5 ** np.arange(1, 50)
+        grows = 2.0 ** np.arange(49)
+        capped = synth(grows, provenance="bracket-lower", truncated=True)
+        for certify in (certify_li_yorke, certify_mean_li_yorke):
+            assert certify(synth(v), [synth(grows)]).growth.orbit == 0
+            assert certify(synth(v), [capped]).growth is None
+            assert certify(synth(v), [capped, synth(grows)]).growth.orbit == 1
+
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             irregular_witness(synth([1.0]), -1.0, 1e3)
@@ -130,6 +139,15 @@ class TestCertifyLiYorke:
         # bracket-upper decays soundly
         verdict = certify_li_yorke(synth(np.r_[v, 1e-31], provenance="bracket-upper"), [])
         assert verdict.decay is not None
+
+    def test_capped_orbit_stays_out_of_the_growth_scan(self):
+        v = 0.5 ** np.arange(1, 50)
+        grows = 2.0 ** np.arange(49)
+        capped = synth(grows, provenance="bracket-lower", truncated=True)
+        for certify in (certify_li_yorke, certify_mean_li_yorke):
+            assert certify(synth(v), [synth(grows)]).growth.orbit == 0
+            assert certify(synth(v), [capped]).growth is None
+            assert certify(synth(v), [capped, synth(grows)]).growth.orbit == 1
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):

@@ -154,9 +154,31 @@ class TestClassifyCommand:
         with pytest.raises(ValueError, match=r"Re\(s\) > -2.5/3"):
             experiments.run_classify(config)
 
+    def test_polynomial_map_below_the_cap_reaches_a_verdict(self, tmp_path):
+        # phi = 0.5 + 0.5 z keeps degree 1, so w(30) has degree 30 < 64: the
+        # cap drops nothing and the weight norms are exact.
+        out = tmp_path / "verdict.json"
+        assert main(["classify", "--w", "0.9*z", "--phi-poly", "0.5,0.5", "--max-degree", "64",
+                     "--space", "h2", "--horizon", "30", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["li_yorke"]["kind"] == "NO_EVIDENCE"
+
+    def test_capped_orbit_certifies_no_growth(self, tmp_path):
+        # Under the cap 64 the candidate of degree 1024 loses most of its
+        # norm, so the orbit is a partial sum and its bar G * v_1 too low:
+        # read as growth it fired at n = 9 with a fitted rate of log 0.9.
+        out = tmp_path / "verdict.json"
+        assert main(["classify", "--w", "0.9*z", "--phi-poly", "0.5,0.5", "--max-degree", "64",
+                     "--space", "h2", "--horizon", "60", "--eps", "1e-2",
+                     "--growth-factor", "2", "--out", str(out)]) == 0
+        li = json.loads(out.read_text())["li_yorke"]
+        assert li["kind"] == "INCONCLUSIVE" and li["growth_witness"] is None
+        assert li["decay_witness"]["n"] == 60
+
     def test_capped_decay_refusal_names_the_cap(self, capsys):
-        rc = main(["classify", "--w", "0.9*z", "--phi-poly", "0.5,0.5", "--max-degree", "64",
-                   "--space", "h2", "--horizon", "30"])
+        # phi = 0.3 + 0.5 z^2: deg w(n) = 2^n - 1 passes the cap 16 at n = 5.
+        rc = main(["classify", "--w", "0.9*z", "--phi-poly", "0.3,0,0.5", "--max-degree", "16",
+                   "--space", "h2", "--horizon", "10"])
         assert rc == 2
         err = capsys.readouterr().err
         assert "capped" in err and "sup norm" not in err

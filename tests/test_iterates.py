@@ -5,7 +5,9 @@ import pytest
 
 from wcochaos.series import AnalyticPoly, compose_affine
 from wcochaos.symbols import SelfMapSymbol, WeightSymbol, affine_fixing_one, validate_self_map
-from wcochaos.iterates import weight_iterate_sequence
+from wcochaos.iterates import first_capped, weight_iterate_sequence
+from wcochaos.operators import WeightedCompOp, orbit_norm_sequence
+from wcochaos.spaces import Hardy
 
 
 def gap(f, g):
@@ -111,10 +113,41 @@ def test_polynomial_symbol_requires_cap_and_flags():
     w = WeightSymbol.from_coeffs([0, 1.0])
     with pytest.raises(ValueError):
         weight_iterate_sequence(w, phi, 4)
-    cache = weight_iterate_sequence(w, phi, 4, max_degree=40)
+    # deg w(n) = 2^n - 1: 15 at n = 4 stays below the cap, 63 at n = 6 passes it.
+    assert not weight_iterate_sequence(w, phi, 4, max_degree=40).truncated
+    cache = weight_iterate_sequence(w, phi, 6, max_degree=40)
     assert cache.truncated
     # w(2) = (w o phi) * w = 0.8 z^2 * z = 0.8 z^3, below the cap hence exact
     assert cache.weight_iterate(2) == AnalyticPoly.monomial(3, 0.8)
+
+
+def test_first_capped_follows_exact_degrees():
+    w = WeightSymbol.from_coeffs([0, 0.9])
+    square = SelfMapSymbol.polynomial(AnalyticPoly([0.3, 0, 0.5]))
+    line = SelfMapSymbol.polynomial(AnalyticPoly([0.5, 0.5]))
+    assert validate_self_map(square) and validate_self_map(line)
+    # deg w(n) = 2^n - 1 under the square map passes the cap 16 at n = 5.
+    assert first_capped(w, square, 10, 16) == 5
+    assert first_capped(w, square, 4, 16) == 5  # horizon + 1: never capped
+    # An f of degree 3 adds 3 * 2^n: 7 + 24 passes 16 at n = 3.
+    assert first_capped(w, square, 10, 16, f_degree=3) == 3
+    # The line keeps degree 1, so deg w(n) = n.
+    assert first_capped(w, line, 30, 64) == 31
+    assert first_capped(w, line, 100, 64) == 65
+    # A constant weight stays constant whatever the cap does to phi^n.
+    assert first_capped(WeightSymbol.from_coeffs([0.5]), square, 50, 1) == 51
+    assert first_capped(w, square, 50, None) == 51
+
+
+def test_orbit_flag_counts_the_vector_degree():
+    phi = SelfMapSymbol.polynomial(AnalyticPoly([0.3, 0, 0.5]))
+    assert validate_self_map(phi)
+    op = WeightedCompOp(WeightSymbol.from_coeffs([0, 0.9]), phi)
+    cache = op.build_cache(4, max_degree=16)
+    assert not cache.truncated
+    assert not orbit_norm_sequence(op, AnalyticPoly.one(), Hardy(2), 4, cache=cache).truncated
+    cut = orbit_norm_sequence(op, AnalyticPoly.monomial(3), Hardy(2), 4, cache=cache)
+    assert cut.truncated and cut.provenance == "bracket-lower"
 
 
 def test_capped_polynomial_iterates_are_exact_partial_sums():

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln, roots_jacobi
 
 import wcochaos
-from wcochaos import spaces
+from wcochaos import cli, spaces
 from wcochaos.experiments import ExperimentConfig, build_operator
 from wcochaos.series import AnalyticPoly, binomial_series, eval_on_circle
 from wcochaos.spaces import (Bergman, Hardy, SupSpace, bergman2_coeff_weights,
@@ -106,6 +106,42 @@ class TestHardyQuadrature:
         f = AnalyticPoly(np.ones(11))
         with pytest.raises(ValueError):
             quad_norm_hp(f, 2, angular_grid=17)
+
+
+class TestQuadratureRange:
+    """|f|^p leaves the normal doubles long before f does; the quadratures
+    rescale f by a power of two there and nowhere else."""
+
+    G = binomial_series(-0.2, 256)
+    NORMS = {"h3": lambda f: quad_norm_hp(f, 3),
+             "bergman:3:0.5": lambda f: quad_norm_bergman_p(f, 3, 0.5)}
+
+    @pytest.mark.parametrize("space", NORMS)
+    @pytest.mark.parametrize("scale", [1e-120, 2.0**-400, 1e-200, 2.0**400, 1e110])
+    def test_tiny_and_huge_polynomials(self, space, scale):
+        norm = self.NORMS[space]
+        got = norm(scale * self.G)
+        assert got == pytest.approx(scale * norm(self.G), rel=1e-13)
+
+    @pytest.mark.parametrize("space", NORMS)
+    def test_in_range_values_are_not_rescaled(self, space, monkeypatch):
+        def refuse(c, e):
+            raise AssertionError("an in-range polynomial was rescaled")
+
+        monkeypatch.setattr(spaces, "_times_two_to", refuse)
+        for scale in (1e-90, 1.0, 1e90):
+            assert self.NORMS[space](scale * self.G) > 0
+
+    def test_long_h3_weight_norms_stay_positive(self, tmp_path):
+        # 0.9^n: the norm passes 1e-103 near n = 2260, where |f|^3 went
+        # subnormal, and reaches about 1e-110 at n = 2400.
+        out = tmp_path / "weights.csv"
+        assert cli.main(["weights", "--w", "0.9*z", "--phi-affine", "0.25", "--space", "h3",
+                         "--horizon", "2400", "--out", str(out)]) == 0
+        norms = np.loadtxt(out, delimiter=",", skiprows=1, usecols=1)
+        assert len(norms) == 2400 and norms.min() > 0
+        ratios = norms[1:] / norms[:-1]
+        assert np.allclose(ratios[-200:], 0.9, rtol=1e-9, atol=0)
 
 
 class TestBergmanQuadrature:

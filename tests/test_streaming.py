@@ -42,11 +42,12 @@ class TestStream:
                                          6, max_degree=3)
         assert capped.truncated
 
-    def test_polynomial_symbols_are_truncated_from_the_start(self):
+    def test_polynomial_symbols_are_truncated_once_the_cap_drops_terms(self):
+        # deg w(n) = 2^n - 1 for w = z and phi = 0.8 z^2: 31 at n = 5, 63 at n = 6.
         phi = SelfMapSymbol.polynomial(AnalyticPoly([0, 0, 0.8]))
         assert validate_self_map(phi)
-        pairs = list(weight_iterates(WeightSymbol.from_coeffs([0, 1.0]), phi, 3, max_degree=40))
-        assert [t for _, t in pairs] == [True, True, True]
+        pairs = list(weight_iterates(WeightSymbol.from_coeffs([0, 1.0]), phi, 7, max_degree=40))
+        assert [t for _, t in pairs] == [False] * 5 + [True, True]
         assert pairs[1][0] == AnalyticPoly.monomial(3, 0.8)
 
     def test_checks_run_when_the_stream_is_made(self):
