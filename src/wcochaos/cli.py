@@ -205,6 +205,11 @@ def cmd_classify(args) -> int:
     return 0
 
 
+# (argument dest, flag) of the symbol flags each sweep kind sets per cell.
+_SWEEP_SETS = {"lambda-a": [("w", "--w"), ("phi_affine", "--phi-affine")],
+               "p-beta": [("space", "--space")]}
+
+
 def cmd_sweep(args) -> int:
     if args.grid_lambda and args.grid_a:
         kind = "lambda-a"
@@ -216,6 +221,13 @@ def cmd_sweep(args) -> int:
         raise ValueError("sweep needs --grid-lambda with --grid-a, or --grid-p with --grid-beta")
     if len(xs) * len(ys) > 10_000:
         raise ValueError("sweep grid exceeds 10000 cells")
+    # The sweep parser leaves these flags unset, so that a flag the grid would
+    # overwrite is refused rather than ignored; the others get their defaults.
+    for dest, flag in _SWEEP_SETS[kind]:
+        if getattr(args, dest) is not None:
+            raise ValueError(f"a {kind} sweep sets {flag} from its grid; drop {flag}")
+    args.w = "1" if args.w is None else args.w
+    args.space = "h2" if args.space is None else args.space
     base = _config_from_args(args).to_dict()
     xs, ys = [float(x) for x in xs], [float(y) for y in ys]
     if kind == "lambda-a":
@@ -355,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
                             f"--grid-{axis}=start:stop:count")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_sweep)
+    p.set_defaults(fn=cmd_sweep, w=None, space=None)
 
     p = sub.add_parser("eigen", help="eigen-relation residual for (1-z)^s under a*z+1-a")
     p.add_argument("--a", type=float, required=True)

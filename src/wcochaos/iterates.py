@@ -3,20 +3,27 @@
 The n-th weight iterate is the product (w o phi^(n-1)) ... (w o phi) * w; it
 governs the n-th operator power through the identity T^n f = w(n) * (f o
 phi^n).  ``weight_iterates`` generates the sequence by the incremental
-recurrence w(n+1) = w(n) * (w o phi^n), one composition per step instead of
-the literal n-fold product, and holds only the current iterate.  That is the
-default: weight norms read each w(n) once, in order.  Storing every w(n)
-costs O(H^2) coefficients at horizon H, so ``weight_iterate_sequence``
-materialises the stream into a ``WeightIterateCache`` only for the random
-access of ``WeightedCompOp.apply_n``.
+recurrence w(n+1) = w(n) * (w o phi^n), one product per step instead of the
+literal n-fold product, and holds only the current iterate.  For an affine
+symbol the factors w o phi^n come from ``affine_compositions``: batched
+Horner passes over the closed-form coefficients of phi^n, a bounded chunk of
+n at a time.  Each product drops its trailing coefficients that are exactly
+zero: in the usual case 1 - phi(z) = alpha (1 - z) with |alpha| < 1 the
+high coefficients of w(n) underflow to 0.0, so a step costs O(nonzero
+width), not O(n).  Storing every w(n) costs up to O(H^2) coefficients at
+horizon H, so ``weight_iterate_sequence`` materialises the stream into a
+``WeightIterateCache`` only for the random access of
+``WeightedCompOp.apply_n``.
 """
 
 from __future__ import annotations
 
-from .series import AnalyticPoly
+from .series import AnalyticPoly, coeff_product, compose_affine_rows, trim_trailing_zeros
+from .spaces import BLOCK_BYTES
 from .symbols import SelfMapSymbol, WeightSymbol
 
-__all__ = ["WeightIterateCache", "first_capped", "weight_iterate_sequence", "weight_iterates"]
+__all__ = ["WeightIterateCache", "affine_compositions", "first_capped",
+           "weight_iterate_sequence", "weight_iterates"]
 
 
 class WeightIterateCache:
@@ -91,16 +98,45 @@ def first_capped(w: WeightSymbol, phi: SelfMapSymbol, horizon: int,
     return horizon + 1
 
 
-def _steps(w: WeightSymbol, symbols: list[SelfMapSymbol], max_degree: int | None,
-           capped_from: int):
-    """(w(n), n >= capped_from) for n = 1..len(symbols)-1 by w(n+1) = w(n) * (w o phi^n)."""
-    current = w.poly
-    yield current, capped_from <= 1
-    for n, it in enumerate(symbols[1:-1], start=2):
-        current = current * it.compose_into(w.poly, max_degree=max_degree)
-        if max_degree is not None and current.degree > max_degree:
-            current = current.truncated(max_degree)
-        yield current, n >= capped_from
+def affine_compositions(f: AnalyticPoly, phi: SelfMapSymbol, horizon: int):
+    """Stream the coefficients of f o phi^n for n = 1..horizon, affine phi.
+
+    The coefficients of phi^n are those of ``SelfMapSymbol.iterate``; each
+    chunk of n, at most about BLOCK_BYTES of output, is composed in one
+    ``compose_affine_rows`` pass, and its rows are yielded read-only.
+    """
+    step = max(1, BLOCK_BYTES // (16 * len(f.coeffs)))
+    for start in range(1, horizon + 1, step):
+        alphas, gammas = phi.affine_coefficients(range(start, min(start + step, horizon + 1)))
+        chunk = compose_affine_rows(f, alphas, gammas)
+        chunk.setflags(write=False)
+        yield from chunk
+
+
+def _factors(w: AnalyticPoly, phi: SelfMapSymbol, horizon: int, max_degree: int | None,
+             symbols: list[SelfMapSymbol] | None = None):
+    """Coefficients of w o phi^n for n = 1..horizon-1; a polynomial phi
+    composes into its capped iterates, taken from ``symbols`` when given."""
+    if phi.kind == "affine":
+        return affine_compositions(w, phi, horizon - 1)
+    if symbols is None:
+        symbols = phi.iterates(horizon, max_degree)
+    return (it.compose_into(w, max_degree=max_degree).coeffs for it in symbols[1:-1])
+
+
+def _steps(w: AnalyticPoly, factors, max_degree: int | None, capped_from: int,
+           trim: bool):
+    """(w(n), n >= capped_from) by w(n+1) = w(n) * (w o phi^n); with ``trim``
+    each w(n) drops its trailing exact zeros."""
+    yield w, capped_from <= 1
+    current = w.coeffs
+    for n, factor in enumerate(factors, start=2):
+        current = coeff_product(current, factor)
+        if max_degree is not None:
+            current = current[: max_degree + 1]
+        if trim:
+            current = trim_trailing_zeros(current)
+        yield AnalyticPoly._adopt(current), n >= capped_from
 
 
 def weight_iterates(w: WeightSymbol, phi: SelfMapSymbol, horizon: int,
@@ -113,8 +149,9 @@ def weight_iterates(w: WeightSymbol, phi: SelfMapSymbol, horizon: int,
     it is first read.
     """
     _require_iterable(phi, horizon)
-    return _steps(w, phi.iterates(horizon, max_degree), max_degree,
-                  first_capped(w, phi, horizon, max_degree))
+    wp = w.poly.trimmed()
+    return _steps(wp, _factors(wp, phi, horizon, max_degree), max_degree,
+                  first_capped(w, phi, horizon, max_degree), trim=True)
 
 
 def weight_iterate_sequence(w: WeightSymbol, phi: SelfMapSymbol, horizon: int,
@@ -128,7 +165,8 @@ def weight_iterate_sequence(w: WeightSymbol, phi: SelfMapSymbol, horizon: int,
     """
     _require_iterable(phi, horizon)
     symbols = phi.iterates(horizon, max_degree)
-    steps = list(_steps(w, symbols, max_degree, first_capped(w, phi, horizon, max_degree)))
+    steps = list(_steps(w.poly, _factors(w.poly, phi, horizon, max_degree, symbols),
+                        max_degree, first_capped(w, phi, horizon, max_degree), trim=False))
     return WeightIterateCache(w=w, phi=phi, horizon=horizon,
                               weights=[wn for wn, _ in steps],
                               symbol_iterates=symbols, max_degree=max_degree,

@@ -1,10 +1,11 @@
 """The weighted composition operator and its orbit norm sequences.
 
-T f = w * (f o phi).  Powers are never applied step by step: the closed
-iterate identity T^n f = w(n) * (f o phi^n) gives every orbit element from
-one composition and one multiplication against a shared weight-iterate
-cache.  Weight norms need no cache: they read each w(n) once, in order,
-from the streamed iterates.
+T f = w * (f o phi).  Powers are never applied step by step: the iterate
+identity T^n f = w(n) * (f o phi^n) gives every orbit element from one
+composition and one multiplication.  Weight norms need no stored iterates:
+``weight_norm_sequence`` reads each w(n) once, in order, from a stream, and
+only ``orbit_norm_sequence`` of a fixed polynomial indexes a
+``WeightIterateCache``.
 
 Two orbit routines are provided.  ``orbit_norm_sequence`` follows a fixed
 polynomial through the iterate identity.  ``eigen_orbit_norm_sequence``
@@ -14,7 +15,12 @@ exact factorization T^n (g_s z^k) = alpha^(ns) * w(n) * g_s * (phi^n)^k.
 Truncating g_s once in that product keeps the relative representation error
 uniform in n, whereas composing a truncated g_s directly loses the
 eigen-behaviour as soon as |alpha|^n * deg falls below 1 (the iterated map
-then no longer resolves the truncation scale).
+then no longer resolves the truncation scale).  The running product drops
+its trailing zeros each step, and its factors come batched from
+``iterates.affine_compositions``.
+
+Both streamed routines hand their polynomials to ``spaces.space_norms``,
+which takes H^2, A^2_beta and H^inf norms one block of rows at a time.
 """
 
 from __future__ import annotations
@@ -25,9 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .iterates import WeightIterateCache, first_capped, weight_iterate_sequence
-from .series import AnalyticPoly, binomial_series, compose_affine
-from .spaces import SpaceSpec, require_in_space, space_norm, space_provenance
+from .iterates import (WeightIterateCache, affine_compositions, first_capped,
+                       weight_iterate_sequence)
+from .series import AnalyticPoly, coeff_product, binomial_series, trim_trailing_zeros
+from .spaces import SpaceSpec, require_in_space, space_norm, space_norms, space_provenance
 from .symbols import SelfMapSymbol, WeightSymbol
 
 __all__ = [
@@ -136,12 +143,18 @@ def weight_norm_sequence(iterates: Iterable[tuple[AnalyticPoly, bool]], spec: Sp
 
     ``iterates`` yields (w(n), truncated) pairs in order: a stream from
     ``iterates.weight_iterates`` or a ``WeightIterateCache``.  Each
-    w(n) is read once, and the last flag holds for the whole sequence.
+    w(n) is read once, into the blocks of ``spaces.space_norms``, and the
+    last flag holds for the whole sequence.
     """
-    vals, truncated = [], False
-    for wn, truncated in iterates:
-        vals.append(space_norm(wn, spec, sup_side=sup_side))
-    return NormSequence(values=np.array(vals), space=spec,
+    truncated = False
+
+    def rows():
+        nonlocal truncated
+        for wn, truncated in iterates:
+            yield wn.coeffs
+
+    vals = space_norms(rows(), spec, sup_side=sup_side)
+    return NormSequence(values=vals, space=spec,
                         provenance=space_provenance(spec, sup_side, truncated),
                         label="weight-norm", truncated=truncated)
 
@@ -187,31 +200,42 @@ def eigen_orbit_norm_sequence(op: WeightedCompOp, s, degree: int, spec: SpaceSpe
         raise ValueError("closed-form orbits need an affine symbol fixing z = 1")
     require_in_space(spec, s)
 
-    alpha = phi.alpha
-    mu = np.exp(complex(s) * np.log(alpha))  # alpha^s, principal log
-    g = binomial_series(s, degree)
-    z_power = AnalyticPoly.monomial(power)
+    mu = np.exp(complex(s) * np.log(phi.alpha))  # alpha^s, principal log
+    log_mu = math.log(abs(mu))
+    w = op.w.poly.trimmed()
+    # Real data stay real: complex products of numbers with zero imaginary
+    # parts give the same values at several times the cost.
+    real = (complex(s).imag == 0 and not w.coeffs.imag.any()
+            and phi.alpha.imag == 0 and phi.gamma.imag == 0)
+    part = np.real if real else np.asarray
+    g = part(binomial_series(s, degree).coeffs)
+    w_factors = map(part, affine_compositions(w, phi, horizon - 1))
+    z_powers = map(part, affine_compositions(AnalyticPoly.monomial(power), phi, horizon))
 
     # The running polynomial is renormalized each step and the scale kept in
     # log space: |mu|^n alone can overflow a double long before the orbit
     # value itself does.
-    logs = np.empty(horizon)
-    log_scale = 0.0
-    product = g * op.w.poly  # w(1) * g
-    for n in range(1, horizon + 1):
-        log_scale += math.log(abs(mu))
-        it = phi.iterate(n)
-        term = product
-        if power:
-            term = term * compose_affine(z_power, it.alpha, it.gamma)
-        nrm = space_norm(term, spec, sup_side=sup_side)
-        logs[n - 1] = log_scale + np.log(nrm) if nrm > 0 else -np.inf
-        if n < horizon:
-            product = product * compose_affine(op.w.poly, it.alpha, it.gamma)
-            peak = float(np.max(np.abs(product.coeffs)))
-            if peak > 0:
-                product = (1.0 / peak) * product
-                log_scale += math.log(peak)
+    log_scales = np.empty(horizon)
+
+    def terms():
+        log_scale = 0.0
+        product = trim_trailing_zeros(coeff_product(g, part(w.coeffs)))  # w(1) * g
+        for n in range(1, horizon + 1):
+            log_scale += log_mu
+            log_scales[n - 1] = log_scale
+            yield coeff_product(product, next(z_powers)) if power else product
+            if n < horizon:
+                # A fresh array that only this loop holds, so it is scaled in place.
+                c = coeff_product(product, next(w_factors))
+                peak = float(np.abs(c).max())
+                if peak > 0:
+                    c *= 1.0 / peak
+                    log_scale += math.log(peak)
+                product = trim_trailing_zeros(c)
+
+    nrm = space_norms(terms(), spec, sup_side=sup_side)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.where(nrm > 0, log_scales + np.log(nrm), -np.inf)
     # A value past the double range reads inf here; log_values keeps it, and
     # every output step refuses the inf.
     with np.errstate(over="ignore"):

@@ -17,9 +17,12 @@ __all__ = [
     "SHORT_FACTOR_TAPS",
     "AnalyticPoly",
     "binomial_series",
+    "coeff_product",
     "compose",
     "compose_affine",
+    "compose_affine_rows",
     "eval_on_circle",
+    "trim_trailing_zeros",
 ]
 
 # A product whose shorter factor has at most this many coefficients is built
@@ -79,11 +82,9 @@ class AnalyticPoly:
         return len(self.coeffs) - 1
 
     def trimmed(self) -> "AnalyticPoly":
-        """Drop trailing coefficients that are exactly zero."""
-        nz = np.nonzero(self.coeffs)[0]
-        if len(nz) == 0:
-            return AnalyticPoly.zero()
-        return AnalyticPoly(self.coeffs[: nz[-1] + 1])
+        """Drop trailing coefficients that are exactly zero; self if there are none."""
+        c = trim_trailing_zeros(self.coeffs)
+        return self if len(c) == len(self.coeffs) else AnalyticPoly._adopt(c)
 
     def padded(self, length: int) -> np.ndarray:
         """Coefficients zero-padded (or identical) to the requested length."""
@@ -123,7 +124,7 @@ class AnalyticPoly:
 
     def __mul__(self, other):
         if isinstance(other, AnalyticPoly):
-            return AnalyticPoly._adopt(_product(self.coeffs, other.coeffs))
+            return AnalyticPoly._adopt(coeff_product(self.coeffs, other.coeffs))
         if isinstance(other, numbers.Number):
             return AnalyticPoly._adopt(self.coeffs * complex(other))
         return NotImplemented
@@ -145,14 +146,33 @@ class AnalyticPoly:
         return f"AnalyticPoly({list(c)})"
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Coefficients of the product of two polynomials, full length, untruncated."""
+def trim_trailing_zeros(c: np.ndarray) -> np.ndarray:
+    """Coefficients c without their trailing exact zeros, as a view of c; one
+    coefficient at least.
+
+    A few trailing zeros, the common case in a running product, are found
+    by scanning back from the end; a longer run by one nonzero search.
+    """
+    k = len(c)
+    while k > 1 and c[k - 1] == 0:
+        k -= 1
+        if len(c) - k == 8:
+            nz = c.nonzero()[0]
+            k = nz[-1] + 1 if len(nz) else 1
+            break
+    return c if k == len(c) else c[:k]
+
+
+def coeff_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficients of the product of two polynomials given by their
+    coefficient arrays: full length, untruncated, a fresh array, real when
+    both factors are real."""
     if len(a) < len(b):
         a, b = b, a
     if len(b) > SHORT_FACTOR_TAPS:
         return np.convolve(a, b)
     n = len(a)
-    out = np.empty(n + len(b) - 1, dtype=np.complex128)
+    out = np.empty(n + len(b) - 1, dtype=np.result_type(a, b))
     np.multiply(a, b[0], out=out[:n])
     out[n:] = 0.0
     for j in range(1, len(b)):
@@ -161,24 +181,30 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def compose_affine(f: AnalyticPoly, alpha, gamma) -> AnalyticPoly:
-    """Exact composition f(alpha*z + gamma) by the Horner recurrence.
+    """Exact composition f(alpha*z + gamma): one row of ``compose_affine_rows``."""
+    return AnalyticPoly._adopt(compose_affine_rows(f, [alpha], [gamma])[0])
 
-    The accumulator is multiplied by (alpha*z + gamma) and shifted by the
-    next coefficient, from the highest coefficient down.  The result has
-    degree <= deg f at O(d^2) scalar cost.
+
+def compose_affine_rows(f: AnalyticPoly, alpha, gamma) -> np.ndarray:
+    """Coefficients of f(alpha[i]*z + gamma[i]), one row per i, by one Horner pass.
+
+    The accumulator block is multiplied row by row by (alpha[i]*z +
+    gamma[i]) and shifted by the next coefficient, from the highest
+    coefficient down.  Row i has degree <= deg f at O(d^2) scalar cost, and
+    the numpy calls are shared by all rows.
     """
     c = f.coeffs
     d = len(c) - 1
-    out = np.zeros(d + 1, dtype=np.complex128)
-    out[0] = c[d]
-    deg = 0
-    for k in range(d - 1, -1, -1):
+    a = np.asarray(alpha, dtype=np.complex128)[:, None]
+    g = np.asarray(gamma, dtype=np.complex128)[:, None]
+    out = np.zeros((len(a), d + 1), dtype=np.complex128)
+    out[:, 0] = c[d]
+    for deg, k in enumerate(range(d - 1, -1, -1)):
         # out <- out*(alpha z + gamma) + c[k]; the slice RHS is evaluated
         # before assignment, so the in-place update is alias-safe.
-        out[1 : deg + 2] = gamma * out[1 : deg + 2] + alpha * out[: deg + 1]
-        out[0] = gamma * out[0] + c[k]
-        deg += 1
-    return AnalyticPoly._adopt(out)
+        out[:, 1 : deg + 2] = g * out[:, 1 : deg + 2] + a * out[:, : deg + 1]
+        out[:, :1] = g * out[:, :1] + c[k]
+    return out
 
 
 def compose(f: AnalyticPoly, g: AnalyticPoly, max_degree: int | None = None) -> AnalyticPoly:

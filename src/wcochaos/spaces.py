@@ -10,6 +10,12 @@ integral is attained there and no radial sweep is needed.  The sup norm is
 only bracketed: boundary-grid maximum from below, coefficient absolute sum
 from above.
 
+The coefficient norms and the sup bracket are kernels over a block of
+coefficient rows; ``coeff_norm_h2``, ``coeff_norm_bergman2`` and
+``sup_norm_bracket`` call them with one row, and ``space_norms`` takes a
+stream of polynomials, such as the weight iterates of a long horizon, in
+zero-padded blocks of at most BLOCK_BYTES with one kernel call per block.
+
 Quadrature cost is mostly inverse FFTs.  Automatic angular grids start at a
 5-smooth length (2^a 3^b 5^c, looked up in a sorted table), where numpy's
 FFT is fast, and doubling keeps them 5-smooth; a grid set through
@@ -19,8 +25,8 @@ are new.  The Gauss-Jacobi radial rule is cached per (order, beta), and
 scipy.special, which supplies it, is imported on first use.  A Bergman row
 at radius r sees the coefficients damped by r^k, so it keeps only the first
 K terms whose dropped tail lies below 2^-53 of a lower bound on the row's
-mean, on a grid sized for degree K; rows with similar K share one batched
-FFT.
+mean, on a grid sized for degree K; rows with similar K share batched FFTs
+of at most BERGMAN_CHUNK_POINTS points.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ __all__ = [
     "quad_norm_bergman_p",
     "sup_norm_bracket",
     "space_norm",
+    "space_norms",
     "space_provenance",
     "require_in_space",
 ]
@@ -55,6 +62,14 @@ BERGMAN_DOUBLING_TOL = 1e-8
 MAX_ANGULAR_GRID = 1 << 22
 DEFAULT_RADIAL_ORDER = 128
 SUP_BRACKET_GRID = 256
+# A stream of coefficient norms is gathered into zero-padded blocks of at
+# most about this many bytes, the row count following from the block width.
+# The kernels' temporaries take a few times as much again; blocks of a few
+# hundred rows already share the per-call cost.
+BLOCK_BYTES = 1 << 18
+# A batched A^p_beta FFT transforms at most this many points per call (16
+# MB of samples, plus their moduli), whatever the radial order and grid.
+BERGMAN_CHUNK_POINTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -119,21 +134,23 @@ def parse_space(token: str) -> SpaceSpec:
     raise ValueError(f"unknown space token {token!r}")
 
 
-def _rescaled_norm(norm, c: np.ndarray) -> float:
-    """norm(c) for a square-root-of-sum-of-squares norm of coefficients c.
+def _rescaled_rows(norm, block: np.ndarray) -> np.ndarray:
+    """norm(block), a square-root-of-sum-of-squares norm of each row.
 
     Outside about [1e-140, 1e140] the squares go subnormal or overflow, so
-    the sum is redone on c scaled exactly by a power of two that brings the
-    largest modulus into [1/2, 1); in range the plain value is returned.
+    such a row is redone scaled exactly by a power of two that brings its
+    largest modulus into [1/2, 1); rows in range keep the plain value.
     """
-    out = norm(c)
-    if 1e-140 <= out <= 1e140:
-        return out
-    e = int(np.frexp(np.max(np.abs(c)))[1])
-    return float(np.ldexp(norm(_times_two_to(c, -e)), e))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = norm(block)
+        bad = np.flatnonzero(~((out >= 1e-140) & (out <= 1e140)))
+        if len(bad):
+            e = np.frexp(np.max(np.abs(block[bad]), axis=1))[1]
+            out[bad] = np.ldexp(norm(_times_two_to(block[bad], -e[:, None])), e)
+    return out
 
 
-def _times_two_to(c: np.ndarray, e: int) -> np.ndarray:
+def _times_two_to(c: np.ndarray, e: int | np.ndarray) -> np.ndarray:
     """c * 2^e, exact unless it leaves the double range."""
     return np.ldexp(c.view(np.float64), e).view(np.complex128)
 
@@ -154,9 +171,22 @@ def _quadrature_scale(c: np.ndarray, p: float) -> int:
     return e
 
 
+def _h2_rows(block: np.ndarray) -> np.ndarray:
+    """H^2 norms of the rows of a coefficient block.
+
+    The real and imaginary parts are summed by one BLAS dot each per row,
+    as ``np.linalg.norm`` sums a single vector.
+    """
+    def norm(b):
+        re, im = b.real, b.imag
+        return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+
+    return _rescaled_rows(norm, block)
+
+
 def coeff_norm_h2(f: AnalyticPoly) -> float:
     """H^2 norm: the l2 norm of the Maclaurin coefficients (exact)."""
-    return _rescaled_norm(lambda c: float(np.linalg.norm(c)), f.coeffs)
+    return float(_h2_rows(f.coeffs[None])[0])
 
 
 def bergman2_coeff_weights(count: int, beta: float) -> np.ndarray:
@@ -176,10 +206,15 @@ def bergman2_coeff_weights(count: int, beta: float) -> np.ndarray:
     return out
 
 
+def _bergman2_rows(block: np.ndarray, beta: float) -> np.ndarray:
+    """A^2_beta norms of the rows of a coefficient block."""
+    g = bergman2_coeff_weights(block.shape[1], beta)
+    return _rescaled_rows(lambda b: np.sqrt(np.sum(g * np.abs(b) ** 2, axis=1)), block)
+
+
 def coeff_norm_bergman2(f: AnalyticPoly, beta: float) -> float:
     """A^2_beta norm from coefficients (exact for polynomials)."""
-    g = bergman2_coeff_weights(len(f.coeffs), beta)
-    return _rescaled_norm(lambda c: float(np.sqrt(np.sum(g * np.abs(c) ** 2))), f.coeffs)
+    return float(_bergman2_rows(f.coeffs[None], beta)[0])
 
 
 def _even_integer(p: float) -> bool:
@@ -325,7 +360,9 @@ def _bergman_mean(c: np.ndarray, p: float, beta: float, order: int, grid: int,
     # in [0, 1]:  int_0^1 (1-u)^beta g(u) du = 2^(-beta-1) * sum w_i g(u_i).
     # Rung j keeps the first K_j terms of a row on _auto_grid(K_j) * scale
     # points, for the rungs shorter than the full grid; the last rung is the
-    # whole row on the full grid.  Rows of one rung share one batched FFT.
+    # whole row on the full grid.  Rows of one rung share batched FFTs of at
+    # most BERGMAN_CHUNK_POINTS points each; every row is transformed and
+    # averaged on its own, so the chunking does not change the value.
     r, wq = _radial_rule(order, beta)
     short = _RUNGS[_RUNGS < len(c)]
     lengths = _auto_grid(short, p) * scale
@@ -334,11 +371,14 @@ def _bergman_mean(c: np.ndarray, p: float, beta: float, order: int, grid: int,
     rung = _row_rungs(c, r, keep) if len(keep) > 1 else np.zeros(len(r), dtype=np.int64)
     angular = np.empty(len(r))
     for j in np.unique(rung):
-        rows = np.flatnonzero(rung == j)
         k, m = keep[j], lengths[j]
-        block = r[rows, None] ** np.arange(k) * c[:k]
-        vals = np.fft.ifft(block, n=m, axis=1) * m
-        angular[rows] = np.mean(np.abs(vals) ** p, axis=1)
+        members = np.flatnonzero(rung == j)
+        step = max(1, BERGMAN_CHUNK_POINTS // m)
+        for i in range(0, len(members), step):
+            rows = members[i : i + step]
+            block = r[rows, None] ** np.arange(k) * c[:k]
+            vals = np.fft.ifft(block, n=m, axis=1) * m
+            angular[rows] = np.mean(np.abs(vals) ** p, axis=1)
     return float((beta + 1.0) * 2.0 ** (-(beta + 1.0)) * np.dot(wq, angular))
 
 
@@ -394,16 +434,41 @@ def quad_norm_bergman_p(f: AnalyticPoly, p: float, beta: float,
         prev = cur
 
 
+def _sup_rows(block: np.ndarray, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both sup-bracket sides of the rows of a coefficient block: the boundary
+    grid maxima from one batched fold and inverse FFT, and the coefficient
+    absolute sums."""
+    rows, width = block.shape
+    upper = np.sum(np.abs(block), axis=1)
+    if width > grid_size:
+        # Coefficients beyond the grid fold onto their aliases (ifft with
+        # n = grid_size would silently drop them).
+        folded = np.zeros((rows, -(-width // grid_size) * grid_size), dtype=np.complex128)
+        folded[:, :width] = block
+        block = folded.reshape(rows, -1, grid_size).sum(axis=1)
+    lower = np.max(np.abs(np.fft.ifft(block, n=grid_size, axis=1) * grid_size), axis=1)
+    return lower, upper
+
+
 def sup_norm_bracket(f: AnalyticPoly, grid_size: int = SUP_BRACKET_GRID) -> tuple[float, float]:
     """Two-sided bracket for the sup norm on the disk.
 
     Lower bound: maximum of |f| over the uniform boundary grid (valid by the
     maximum modulus principle).  Upper bound: coefficient absolute sum.
     """
+    _check_sup_grid(grid_size)
+    lower, upper = _sup_rows(f.coeffs[None], grid_size)
+    return float(lower[0]), float(upper[0])
+
+
+def _check_sup_grid(grid_size: int) -> None:
     if grid_size < 64:
         raise ValueError("sup bracket grid must have at least 64 points")
-    lower = float(np.max(np.abs(eval_on_circle(f, grid_size))))
-    return lower, f.coeff_abs_sum()
+
+
+def _check_sup_side(sup_side: str) -> None:
+    if sup_side not in ("lower", "upper"):
+        raise ValueError("sup_side must be 'lower' or 'upper'")
 
 
 def space_norm(f: AnalyticPoly, spec: SpaceSpec, sup_side: str = "lower") -> float:
@@ -419,13 +484,64 @@ def space_norm(f: AnalyticPoly, spec: SpaceSpec, sup_side: str = "lower") -> flo
                                    radial_order=spec.radial_order,
                                    angular_grid=spec.angular_grid)
     if isinstance(spec, SupSpace):
+        _check_sup_side(sup_side)
         lower, upper = sup_norm_bracket(f, spec.grid_size)
-        if sup_side == "lower":
-            return lower
-        if sup_side == "upper":
-            return upper
-        raise ValueError("sup_side must be 'lower' or 'upper'")
+        return lower if sup_side == "lower" else upper
     raise TypeError(f"unknown space spec {spec!r}")
+
+
+def _block_kernel(spec: SpaceSpec, sup_side: str):
+    """(kernel, least working width) for the coefficient spaces, or None.
+
+    The kernel maps a zero-padded block of coefficient rows to their norms.
+    The sup bracket transforms every row on its grid, so a block is sized
+    as if its rows were at least one grid wide.
+    """
+    if isinstance(spec, Hardy) and spec.p == 2.0:
+        return _h2_rows, 1
+    if isinstance(spec, Bergman) and spec.p == 2.0:
+        return (lambda block: _bergman2_rows(block, spec.beta)), 1
+    if isinstance(spec, SupSpace):
+        _check_sup_grid(spec.grid_size)
+        _check_sup_side(sup_side)
+        side = 0 if sup_side == "lower" else 1
+        return (lambda block: _sup_rows(block, spec.grid_size)[side]), spec.grid_size
+    return None
+
+
+def _padded_block(rows: list, width: int) -> np.ndarray:
+    block = np.zeros((len(rows), width), dtype=np.complex128)
+    for i, c in enumerate(rows):
+        block[i, : len(c)] = c
+    return block
+
+
+def space_norms(rows, spec: SpaceSpec, sup_side: str = "lower") -> np.ndarray:
+    """Norms of polynomials given by an iterable of 1-d coefficient arrays,
+    real or complex, in order, as ``space_norm`` gives them.
+
+    In H^2, A^2_beta and H^inf the rows are gathered into zero-padded
+    complex blocks of at most about BLOCK_BYTES (one row when a single row
+    is wider), and each block takes one kernel call; a block holds as many
+    rows as fit at its widest row.  Quadrature spaces take one
+    ``space_norm`` call per row.
+    """
+    found = _block_kernel(spec, sup_side)
+    if found is None:
+        return np.array([space_norm(AnalyticPoly(c), spec, sup_side=sup_side) for c in rows],
+                        dtype=np.float64)
+    kernel, least = found
+    out, block, width = [], [], 0
+    for c in rows:
+        wide = max(width, len(c))
+        if block and (len(block) + 1) * max(wide, least) * 16 > BLOCK_BYTES:
+            out.append(kernel(_padded_block(block, width)))
+            block, wide = [], len(c)
+        block.append(c)
+        width = wide
+    if block:
+        out.append(kernel(_padded_block(block, width)))
+    return np.concatenate(out) if out else np.empty(0)
 
 
 def space_provenance(spec: SpaceSpec, sup_side: str = "lower", capped: bool = False) -> str:

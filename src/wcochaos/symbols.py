@@ -92,21 +92,31 @@ class SelfMapSymbol:
             raise ValueError("iterate count must be nonnegative")
         if self.kind != "affine":
             return self.iterates(n, max_degree)[n]
-        if n == 0:
-            it = SelfMapSymbol.identity()
-        elif n == 1:
-            it = SelfMapSymbol.affine(self.alpha, self.gamma)
-        else:
-            an = self.alpha**n
-            if self.fixes_one():
-                gn = 1.0 - an
-            elif self.alpha == 1.0:
-                gn = n * self.gamma
-            else:
-                gn = self.gamma * (1.0 - an) / (1.0 - self.alpha)
-            it = SelfMapSymbol.affine(an, gn)
+        it = SelfMapSymbol.affine(*self._closed_form(n, self.fixes_one()))
         it.validated = self.validated
         return it
+
+    def _closed_form(self, n: int, fixes_one: bool) -> tuple[complex, complex]:
+        if n == 0:
+            return 1.0, 0.0
+        if n == 1:
+            return self.alpha, self.gamma
+        an = self.alpha**n
+        if fixes_one:
+            return an, 1.0 - an
+        if self.alpha == 1.0:
+            return an, n * self.gamma
+        return an, self.gamma * (1.0 - an) / (1.0 - self.alpha)
+
+    def affine_coefficients(self, ns: range) -> tuple[np.ndarray, np.ndarray]:
+        """alpha_n and gamma_n of phi^n for every n in ``ns``, as ``iterate``
+        computes them, without building a symbol per n."""
+        if self.kind != "affine":
+            raise ValueError("only affine symbols iterate in closed form")
+        fixes_one = self.fixes_one()
+        pairs = np.array([self._closed_form(n, fixes_one) for n in ns],
+                         dtype=np.complex128).reshape(-1, 2)
+        return pairs[:, 0], pairs[:, 1]
 
     def iterates(self, horizon: int, max_degree: int | None = None) -> list["SelfMapSymbol"]:
         """phi^0, phi^1, ..., phi^horizon.

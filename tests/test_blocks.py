@@ -1,0 +1,192 @@
+"""Block-batched long-horizon streams.
+
+The streamed loops drop exact trailing zeros, build the affine factors in
+batched Horner passes, and take H^2, A^2_beta and H^inf norms one block of
+rows at a time.  The references below are the per-row norms and the
+untrimmed per-step recurrences the loops replaced.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from wcochaos import iterates, spaces
+from wcochaos.experiments import ExperimentConfig, build_operator
+from wcochaos.iterates import affine_compositions, weight_iterates
+from wcochaos.operators import eigen_orbit_norm_sequence, weight_norm_sequence
+from wcochaos.series import AnalyticPoly, binomial_series, compose_affine, compose_affine_rows
+from wcochaos.spaces import Bergman, Hardy, SupSpace, space_norm, space_norms
+from wcochaos.symbols import SelfMapSymbol, validate_self_map
+
+CASES = [(Hardy(2.0), "lower"), (Bergman(2.0, 0.5), "lower"), (Bergman(2.0, -0.7), "lower"),
+         (SupSpace(), "lower"), (SupSpace(), "upper")]
+
+
+def ragged_rows(rng):
+    """Rows of many widths, with zero rows and rows far outside 1e+-140."""
+    rows = []
+    for width in (1, 3, 40, 41, 255, 256, 257, 700, 2, 1):
+        rows.append(rng.normal(size=width) + 1j * rng.normal(size=width))
+    rows[2][-5:] = 0.0  # trailing zeros inside a row
+    rows += [np.zeros(1, complex), np.zeros(17, complex)]
+    rows += [rows[3] * 1e-200, rows[4] * 1e160, rows[6] * 2.0**-1060, rows[7] * 1e300]
+    rows.append(rng.normal(size=300))  # a real row
+    return [rows[i] for i in rng.permutation(len(rows))]
+
+
+def reference_norm(c, spec, side):
+    """The norm from its definition, scaled by a power of two, summed exactly."""
+    a = np.abs(np.asarray(c, dtype=complex))
+    if isinstance(spec, SupSpace):
+        if side == "upper":
+            return math.fsum(a)
+        return float(np.max(np.abs(np.polynomial.polynomial.polyval(
+            np.exp(2j * np.pi * np.arange(spec.grid_size) / spec.grid_size), c))))
+    e = math.frexp(a.max())[1] if a.max() > 0 else 0
+    s = np.ldexp(a, -e)
+    g = np.ones(len(c)) if isinstance(spec, Hardy) else spaces.bergman2_coeff_weights(len(c), spec.beta)
+    return math.ldexp(math.sqrt(math.fsum(g * s * s)), e)
+
+
+@pytest.mark.parametrize("block_bytes", [1 << 20, 4096, 64])
+@pytest.mark.parametrize("spec,side", CASES,
+                         ids=["h2", "bergman2_0.5", "bergman2_-0.7", "hinf-lower", "hinf-upper"])
+def test_block_kernels_match_per_row_norms(monkeypatch, spec, side, block_bytes):
+    # 4096 bytes puts a few rows in a block and the widest rows alone; 64
+    # bytes makes every row its own block.
+    monkeypatch.setattr(spaces, "BLOCK_BYTES", block_bytes)
+    rows = ragged_rows(np.random.default_rng(7))
+    got = space_norms(iter(rows), spec, sup_side=side)
+    per_row = np.array([space_norm(AnalyticPoly(c), spec, sup_side=side) for c in rows])
+    assert got.shape == (len(rows),)
+    if isinstance(spec, SupSpace) and side == "lower":
+        # Zero padding and folding add exact zeros: the same FFT input.
+        assert np.array_equal(got, per_row)
+    np.testing.assert_allclose(got, per_row, rtol=1e-15, atol=0)
+    assert np.all(got[[not np.any(c) for c in rows]] == 0.0)
+    # Grid values of subnormal coefficients carry too few bits to compare.
+    normal = [np.max(np.abs(c)) > 1e-300 or not np.any(c) for c in rows]
+    want = np.array([reference_norm(c, spec, side) for c in rows])
+    np.testing.assert_allclose(got[normal], want[normal], rtol=1e-13, atol=0)
+    assert np.all(got[[0 < np.max(np.abs(c)) for c in rows]] > 0)
+
+
+def test_block_kernels_check_their_arguments():
+    with pytest.raises(ValueError, match="sup_side"):
+        space_norms([np.ones(3)], SupSpace(), sup_side="middle")
+    with pytest.raises(ValueError, match="64 points"):
+        space_norms([np.ones(3)], SupSpace(grid_size=32))
+    assert space_norms([], Hardy(2.0)).shape == (0,)
+
+
+def test_quadrature_spaces_take_one_norm_per_row():
+    rows = [np.array([1.0, 0.5]), np.array([0.3, 0.0, 0.2j])]
+    for spec in (Hardy(3.0), Bergman(1.5, 0.2)):
+        assert np.array_equal(space_norms(rows, spec),
+                              [space_norm(AnalyticPoly(c), spec) for c in rows])
+
+
+def affine(a):
+    phi = SelfMapSymbol.affine(a, 1 - a)
+    assert validate_self_map(phi)
+    return phi
+
+
+class TestAffineFactors:
+    @pytest.mark.parametrize("phi", [SelfMapSymbol.affine(0.3, 0.7), SelfMapSymbol.affine(1.0, 0.2j),
+                                     SelfMapSymbol.affine(0.5 + 0.2j, -0.1)],
+                             ids=["fixes-one", "alpha-one", "general"])
+    def test_closed_form_coefficients_match_iterate(self, phi):
+        alphas, gammas = phi.affine_coefficients(range(0, 140))
+        for n in range(140):
+            it = phi.iterate(n)
+            assert (alphas[n], gammas[n]) == (it.alpha, it.gamma)
+
+    def test_batched_horner_matches_one_row_at_a_time(self):
+        f = AnalyticPoly([0.2, -0.5, 0.1, 0.3])
+        alphas, gammas = np.array([0.3, 0.5, 1.0]), np.array([0.7, 0.5, 0.0])
+        rows = compose_affine_rows(f, alphas, gammas)
+        for row, a, g in zip(rows, alphas, gammas):
+            assert np.array_equal(row, compose_affine(f, a, g).coeffs)
+
+    def test_compositions_stream_in_bounded_chunks(self, monkeypatch):
+        calls = []
+
+        def recorder(f, alphas, gammas):
+            calls.append(len(alphas))
+            return compose_affine_rows(f, alphas, gammas)
+
+        monkeypatch.setattr(iterates, "BLOCK_BYTES", 64)  # two rows of two taps
+        monkeypatch.setattr(iterates, "compose_affine_rows", recorder)
+        phi = affine(0.4)
+        w = AnalyticPoly([0.0, 0.9])
+        rows = list(affine_compositions(w, phi, 7))
+        assert calls == [2, 2, 2, 1]
+        for n, row in enumerate(rows, start=1):
+            assert np.array_equal(row, phi.iterate(n).compose_into(w).coeffs)
+            assert not row.flags.writeable
+
+
+def untrimmed_weights(w, phi, horizon):
+    """w(n) by the per-step recurrence, at full length n deg w + 1."""
+    current = w
+    yield current
+    for n in range(1, horizon):
+        it = phi.iterate(n)
+        current = current * compose_affine(w, it.alpha, it.gamma)
+        yield current
+
+
+def untrimmed_orbit_logs(w, phi, s, degree, horizon, power, norm):
+    """log ||T^n (1-z)^s z^k|| the way the per-step loop computed it."""
+    mu = np.exp(complex(s) * np.log(phi.alpha))
+    product, log_scale, logs = binomial_series(s, degree) * w, 0.0, []
+    for n in range(1, horizon + 1):
+        log_scale += math.log(abs(mu))
+        it = phi.iterate(n)
+        term = product * compose_affine(AnalyticPoly.monomial(power), it.alpha, it.gamma)
+        logs.append(log_scale + math.log(norm(term.coeffs)))
+        product = product * compose_affine(w, it.alpha, it.gamma)
+        peak = float(np.max(np.abs(product.coeffs)))
+        product = (1.0 / peak) * product
+        log_scale += math.log(peak)
+    return np.array(logs)
+
+
+class TestLongHorizons:
+    def test_trimmed_iterate_is_short_and_equal(self):
+        op = build_operator(ExperimentConfig(weight="0.9*z", phi_affine=0.25))
+        stream = list(weight_iterates(op.w, op.phi, 3000))
+        w3000 = stream[-1][0]
+        assert len(w3000.coeffs) <= 64
+        for n, reference in enumerate(untrimmed_weights(op.w.poly, op.phi, 3000), start=1):
+            if n in (1, 2, 50, 1000, 3000):
+                assert stream[n - 1][0] == reference
+        assert len(reference.coeffs) == 3001
+
+    @pytest.mark.parametrize("space", ["h2", "hinf", "bergman:2:0.5"])
+    def test_weight_norms_at_h3000(self, space):
+        op = build_operator(ExperimentConfig(weight="0.95*z", phi_affine=0.3))
+        spec = spaces.parse_space(space)
+        got = weight_norm_sequence(weight_iterates(op.w, op.phi, 3000), spec).values
+        want = np.array([space_norm(wn, spec) for wn in untrimmed_weights(op.w.poly, op.phi, 3000)])
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        if space == "hinf":
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("power", [0, 2])
+    def test_eigen_orbit_at_h3000(self, power):
+        op = build_operator(ExperimentConfig(weight="0.95*z", phi_affine=0.3))
+        got = eigen_orbit_norm_sequence(op, -0.2, 256, Hardy(2.0), 3000, power=power)
+        want = untrimmed_orbit_logs(op.w.poly, op.phi, -0.2, 256, 3000, power,
+                                    lambda c: float(np.linalg.norm(c)))
+        np.testing.assert_allclose(np.exp(got.log_values - want), 1.0, rtol=0, atol=1e-14)
+
+    def test_complex_eigen_orbit_keeps_complex_arithmetic(self):
+        op = build_operator(ExperimentConfig(weight="0.9*z", phi_affine=0.3))
+        s = 0.2 + 0.3j
+        got = eigen_orbit_norm_sequence(op, s, 128, SupSpace(), 400, power=1, sup_side="upper")
+        want = untrimmed_orbit_logs(op.w.poly, op.phi, s, 128, 400, 1,
+                                    lambda c: float(np.sum(np.abs(c))))
+        np.testing.assert_allclose(np.exp(got.log_values - want), 1.0, rtol=0, atol=1e-14)

@@ -348,6 +348,26 @@ class TestTruncatedBergmanRows:
             assert np.all(seen == 1)
             assert len(calls) > 1  # some rows were truncated
 
+    @pytest.mark.parametrize("p", [1.5, 3])
+    def test_rungs_split_into_bounded_chunks(self, p, monkeypatch):
+        g = AnalyticPoly(_zero_free_poly(120).coeffs * np.exp(0.7j * np.arange(121)))
+        unchunked = {"quad": quad_norm_bergman_p(g, p, 0.5),
+                     "mean": spaces._bergman_mean(g.coeffs, p, 0.5, 256, 1080, 2)}
+        sizes = []
+        ifft = np.fft.ifft
+
+        def recording(a, n=None, axis=-1, **kwargs):
+            sizes.append(np.shape(a)[0] * n)
+            return ifft(a, n=n, axis=axis, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", recording)
+        monkeypatch.setattr(spaces, "BERGMAN_CHUNK_POINTS", 5000)
+        chunked = {"quad": quad_norm_bergman_p(g, p, 0.5),
+                   "mean": spaces._bergman_mean(g.coeffs, p, 0.5, 256, 1080, 2)}
+        # One row of the full grid (up to 2160 points here) fits, two do not.
+        assert sizes and max(sizes) <= 5000 and len(sizes) > 20
+        assert chunked == unchunked
+
 
 class TestSupBracket:
     def test_monomial(self):

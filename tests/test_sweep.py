@@ -163,6 +163,24 @@ def test_scaled_overflow_exits_naming_the_cell(tmp_path, capsys):
 
 
 class TestRefusals:
+    @pytest.mark.parametrize("flag", [["--w", "0.9*z"], ["--phi-affine", "0.3"]])
+    def test_lambda_a_flags_the_grid_overwrites(self, tmp_path, capsys, flag):
+        out = tmp_path / "sweep.csv"
+        rc = main([*SWEEP, *flag, "--grid-lambda", "0.5:0.9:2", "--grid-a", "0.2:0.2:1",
+                   "--out", str(out)])
+        assert rc == 2
+        assert f"a lambda-a sweep sets {flag[0]} from its grid" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_p_beta_space_flag(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--space", "h2", "--w", "0.9*z", "--phi-affine", "0.25",
+                   "--horizon", "50", "--grid-p", "2:2:1", "--grid-beta", "0:0:1",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "a p-beta sweep sets --space from its grid" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_polynomial_self_map(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         rc = main([*SWEEP, "--phi-poly", "0.5,0.5", "--max-degree", "64",
