@@ -29,11 +29,11 @@ for n in (5, 20, 50):
     print(f"  |w({n})(1)| = {abs(cache.weight_iterate(n)(1.0)):.3e}"
           f"  vs lam^{n} = {lam**n:.3e}")
 
-print("\nsup-norm brackets pin the sequence to the geometric law:")
-sup_lower = weight_norm_sequence(cache, SupSpace(), sup_side="lower")
-sup_upper = weight_norm_sequence(cache, SupSpace(), sup_side="upper")
+print("\nsup-norm brackets pin the sequence to the geometric law")
+print("(one sequence carries both sides: values below, upper above):")
+sup = weight_norm_sequence(cache, SupSpace())
 for n in (1, 10, 30, 50):
-    print(f"  n={n:>2}: lower {sup_lower.value(n):.6e}  upper {sup_upper.value(n):.6e}"
+    print(f"  n={n:>2}: lower {sup.value(n):.6e}  upper {sup.upper[n - 1]:.6e}"
           f"  lam^n {lam**n:.6e}")
 
 h2 = weight_norm_sequence(cache, Hardy(2))

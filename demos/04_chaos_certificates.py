@@ -10,8 +10,8 @@ NO_EVIDENCE or INCONCLUSIVE.
 
 import numpy as np
 
-from wcochaos import (ExperimentConfig, Hardy, SelfMapSymbol, SupSpace,
-                      WeightSymbol, WeightedCompOp, binomial_series,
+from wcochaos import (ExperimentConfig, Hardy, SelfMapSymbol, WeightSymbol,
+                      WeightedCompOp, affine_fixing_one, binomial_series,
                       certify_li_yorke, certify_mean_li_yorke,
                       orbit_norm_sequence, run_classify, validate_self_map,
                       weight_norm_sequence)
@@ -52,9 +52,18 @@ show("plain", certify_li_yorke(ws, [orbit]))
 show("averaged", certify_mean_li_yorke(ws, [orbit]))
 
 print("\n== soundness guard ==")
-print("decay tests refuse sequences that only bound the norms from below:")
-sup_seq = weight_norm_sequence(cache, SupSpace(), sup_side="lower")
+print("decay tests refuse sequences that only bound the norms from below;")
+print("a degree cap of 20 leaves partial sums of the weight iterates:")
+phi = affine_fixing_one(0.25)
+validate_self_map(phi)
+op = WeightedCompOp(WeightSymbol.from_coeffs([0, 0.9]), phi)
+capped = weight_norm_sequence(op.build_cache(60, max_degree=20), Hardy(2))
 try:
-    certify_li_yorke(sup_seq, [])
+    certify_li_yorke(capped, [])
 except ValueError as exc:
     print(f"  ValueError: {exc}")
+print("in H^inf each test reads the bracket side it bounds: decay the upper")
+print("side (coefficient sums), growth the lower side (boundary-grid maxima):")
+result = run_classify(ExperimentConfig(weight="0.9*z", phi_affine=0.25, space="hinf",
+                                       candidates=[{"s": 0.5, "k": 0}]))
+show("plain", result.li_yorke)

@@ -18,11 +18,9 @@ from .spaces import (Bergman, Hardy, SpaceSpec, SupSpace,
 from .operators import (NormSequence, WeightedCompOp,
                         eigen_orbit_norm_sequence, orbit_norm_sequence,
                         weight_norm_sequence)
-from .chaos import (ChaosVerdict, DecayWitness, GrowthWitness,
-                    IrregularWitness, SequenceStats, certify_li_yorke,
-                    certify_mean_li_yorke, decay_window, eigen_residual,
-                    fit_window, growth_rate_fit, irregular_witness,
-                    sequence_stats)
+from .chaos import (ChaosVerdict, DecayWitness, GrowthWitness, SequenceStats,
+                    certify_li_yorke, certify_mean_li_yorke, decay_window,
+                    eigen_residual, fit_window, growth_rate_fit, sequence_stats)
 from .experiments import (ClassifyResult, ExperimentConfig, build_operator,
                           candidate_orbit, parse_candidate, parse_weight,
                           run_classify)
@@ -39,8 +37,7 @@ __all__ = [
     "space_provenance",
     "WeightedCompOp", "NormSequence", "orbit_norm_sequence",
     "weight_norm_sequence", "eigen_orbit_norm_sequence",
-    "SequenceStats", "sequence_stats", "IrregularWitness", "irregular_witness",
-    "DecayWitness", "GrowthWitness", "ChaosVerdict",
+    "SequenceStats", "sequence_stats", "DecayWitness", "GrowthWitness", "ChaosVerdict",
     "certify_li_yorke", "certify_mean_li_yorke", "growth_rate_fit",
     "eigen_residual", "fit_window", "decay_window",
     "ExperimentConfig", "ClassifyResult", "build_operator", "candidate_orbit",

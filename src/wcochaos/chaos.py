@@ -6,14 +6,14 @@ first value) together with the witness indices, and the verdict kind is
 either ..._EVIDENCE, NO_EVIDENCE or INCONCLUSIVE.
 
 Soundness bookkeeping: a decay claim needs values that do not underestimate
-the true norms, so the certificates refuse weight sequences computed from
-capped arithmetic or tagged bracket-lower.  A growth claim compares max v_n
-with the bar G*v_1 taken from the same sequence, so it needs a lower bound
-above and an upper bound below; it is sound only for exact-coefficient or
-quadrature values, and an orbit computed under a degree cap takes no part
-in it.  In H^inf one bracket side still serves every channel,
-so a growth claim there is not sound until each side is routed to the test
-it bounds correctly.
+the true norms, so it reads the upper side of a sequence, and the
+certificates refuse weight sequences computed from capped arithmetic.  A
+growth claim compares max v_n with the bar G*v_1, so it needs a lower bound
+above and an upper bound below: it reads the maximum (or Cesaro mean) of
+the lower side against G times the upper side's first value, and an orbit
+computed under a degree cap takes no part in it.  Outside H^inf both sides
+are the same exact-coefficient or quadrature values; in H^inf they are the
+boundary-grid maximum and the coefficient absolute sum.
 """
 
 from __future__ import annotations
@@ -24,14 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import binomial_series, compose_affine
-from .spaces import SpaceSpec, SupSpace, require_in_space, space_norm
+from .spaces import SpaceSpec, require_in_space, space_norms
 from .operators import NormSequence
 
 __all__ = [
     "SequenceStats",
     "sequence_stats",
-    "IrregularWitness",
-    "irregular_witness",
     "DecayWitness",
     "GrowthWitness",
     "ChaosVerdict",
@@ -75,6 +73,11 @@ def _values(seq) -> np.ndarray:
     return np.asarray(seq, dtype=np.float64)
 
 
+def _upper(seq) -> np.ndarray:
+    """The upper side of a sequence; a plain array is both of its sides."""
+    return seq.upper if isinstance(seq, NormSequence) else _values(seq)
+
+
 def sequence_stats(seq) -> SequenceStats:
     """Running min/max with indices plus the prefix Cesaro means A_N."""
     v = _values(seq)
@@ -88,26 +91,6 @@ def sequence_stats(seq) -> SequenceStats:
         argmax=int(v.argmax()) + 1,
         cesaro=cesaro,
     )
-
-
-@dataclass(frozen=True)
-class IrregularWitness:
-    """Finite-horizon irregularity check: min below epsilon, max above G*v1."""
-
-    fired: bool
-    argmin: int
-    min_value: float
-    argmax: int
-    max_value: float
-
-
-def irregular_witness(seq, epsilon: float, growth_factor: float) -> IrregularWitness:
-    _check_thresholds(epsilon, growth_factor)
-    v = _values(seq)
-    stats = sequence_stats(v)
-    fired = stats.min_value < epsilon and stats.max_value > growth_factor * v[0]
-    return IrregularWitness(fired=fired, argmin=stats.argmin, min_value=stats.min_value,
-                            argmax=stats.argmax, max_value=stats.max_value)
 
 
 @dataclass(frozen=True)
@@ -176,16 +159,18 @@ def _try_rate(values: np.ndarray) -> float | None:
 
 
 def _growth_scan(channels: list, growth_factor: float) -> GrowthWitness | None:
-    """First channel whose maximum exceeds growth_factor times its first value.
+    """First channel (values, first) whose maximum exceeds growth_factor
+    times ``first``, the upper side of its first value.
 
     channels[0] is the weight-norm channel and channels[i] is orbit i - 1;
     a channel that is None is skipped.
     """
-    for i, vals in enumerate(channels):
-        if vals is None:
+    for i, channel in enumerate(channels):
+        if channel is None:
             continue
+        vals, first = channel
         st = sequence_stats(vals)
-        if st.max_value > growth_factor * vals[0]:
+        if st.max_value > growth_factor * first:
             return GrowthWitness(channel="orbit" if i else "weight-norm",
                                  orbit=i - 1 if i else None, index=st.argmax,
                                  value=st.max_value, rate=_try_rate(vals))
@@ -215,27 +200,25 @@ def _certify(evidence: str, weight_seq: NormSequence, orbit_seqs, epsilon: float
              growth_factor: float) -> ChaosVerdict:
     """Both certificates; ``evidence`` names the one to run.
 
-    The capped test comes first: capped H^2 sequences are also tagged
-    bracket-lower, and the cap is the real cause.
+    Decay reads the upper side of the weight norms, growth the lower side of
+    each channel against G times the upper side of its first value.
     """
     _check_thresholds(epsilon, growth_factor)
     if weight_seq.truncated:
         raise ValueError("decay test refuses capped sequences "
                          "(partial-sum norms underestimate the true norms)")
-    if weight_seq.provenance == "bracket-lower":
-        raise ValueError("decay test refuses a bracket-lower weight sequence "
-                         "(grid maxima underestimate the sup norm)")
-    wv = weight_seq.values
+    wu = weight_seq.upper
     # A capped orbit's v_1 is a partial sum below the true norm, so the bar
     # G * v_1 proves nothing: such an orbit takes no part in the growth scan.
-    channels = [wv] + [None if isinstance(o, NormSequence) and o.truncated else _values(o)
-                       for o in orbit_seqs]
+    # The Cesaro mean A_1 is v_1, so both certificates share the bar.
+    channels = [None if isinstance(seq, NormSequence) and seq.truncated
+                else (_values(seq), _upper(seq)[0]) for seq in (weight_seq, *orbit_seqs)]
     if evidence == KIND_MEAN_LI_YORKE:
-        lo, hi = decay_window(len(wv))
-        decay_index, decay_value = lo, float(np.mean(wv[lo - 1 : hi]))
-        channels = [None if v is None else sequence_stats(v).cesaro for v in channels]
+        lo, hi = decay_window(len(wu))
+        decay_index, decay_value = lo, float(np.mean(wu[lo - 1 : hi]))
+        channels = [None if c is None else (sequence_stats(c[0]).cesaro, c[1]) for c in channels]
     else:
-        stats = sequence_stats(wv)
+        stats = sequence_stats(wu)
         decay_index, decay_value = stats.argmin, stats.min_value
 
     decay = DecayWitness(index=decay_index, value=decay_value) if decay_value < epsilon else None
@@ -247,7 +230,7 @@ def _certify(evidence: str, weight_seq: NormSequence, orbit_seqs, epsilon: float
         kind = KIND_INCONCLUSIVE if decay or growth else KIND_NONE
         citation = citations["decay" if decay else "growth" if growth else "none"]
     return ChaosVerdict(kind=kind, citation=citation, decay=decay, growth=growth,
-                        epsilon=epsilon, growth_factor=growth_factor, horizon=len(wv))
+                        epsilon=epsilon, growth_factor=growth_factor, horizon=len(wu))
 
 
 def certify_li_yorke(weight_seq: NormSequence, orbit_seqs=(),
@@ -298,5 +281,5 @@ def eigen_residual(a: float, s, spec: SpaceSpec, degree: int) -> float:
     image = compose_affine(g, a, 1.0 - a)
     mu = np.exp(complex(s) * math.log(a))
     diff = image - mu * g
-    side = "upper" if isinstance(spec, SupSpace) else "lower"
-    return space_norm(diff, spec, sup_side=side) / space_norm(g, spec, sup_side=side)
+    upper = space_norms([diff.coeffs, g.coeffs], spec)[1]
+    return float(upper[0] / upper[1])

@@ -1,8 +1,9 @@
 """Command-line surface: weights | orbit | classify | sweep | eigen | preset.
 
 Sequences are written as CSV with columns n, norm, cesaro_mean, running_min,
-running_max; verdicts as JSON with kind, citation, witnesses, thresholds and
-a config echo.  Identical configs produce bit-identical output files: floats
+running_max, and in H^inf, where norm is the lower side of the sup bracket,
+a last column norm_upper with its upper side; verdicts as JSON with kind,
+citation, witnesses, thresholds and a config echo.  Identical configs produce bit-identical output files: floats
 are rendered with shortest round-trip repr and nothing time-dependent is
 emitted.
 """
@@ -24,7 +25,7 @@ from .experiments import (SCHEMA_VERSION, ClassifyResult, ExperimentConfig,
 from .iterates import weight_iterates
 from .operators import NormSequence, orbit_norm_sequence, weight_norm_sequence
 from .series import AnalyticPoly
-from .spaces import parse_space, require_in_space
+from .spaces import SupSpace, parse_space, require_in_space
 
 __all__ = ["main"]
 
@@ -36,7 +37,8 @@ def _fmt(x) -> str:
 
 
 def sequence_csv(seq: NormSequence, extra: dict | None = None) -> str:
-    """Render a norm sequence per the fixed column schema (plus optional extras).
+    """Render a norm sequence per the fixed column schema (plus optional extras,
+    then the upper side of an H^inf sequence).
 
     A non-finite cell is an error naming its row and column, never an inf or
     nan in the file.
@@ -45,6 +47,8 @@ def sequence_csv(seq: NormSequence, extra: dict | None = None) -> str:
     columns = {"norm": v, "cesaro_mean": sequence_stats(v).cesaro,
                "running_min": np.minimum.accumulate(v),
                "running_max": np.maximum.accumulate(v), **(extra or {})}
+    if isinstance(seq.space, SupSpace):
+        columns["norm_upper"] = seq.upper
     table = np.column_stack([np.asarray(col, dtype=np.float64) for col in columns.values()])
     bad = np.argwhere(~np.isfinite(table))
     if len(bad):
@@ -133,7 +137,6 @@ def _config_from_args(args) -> ExperimentConfig:
         growth_factor=args.growth_factor,
         candidates=candidates,
         max_degree=getattr(args, "max_degree", None),
-        sup_side=getattr(args, "sup_side", "lower"),
     )
 
 
@@ -147,8 +150,6 @@ def _add_symbol_args(p: argparse.ArgumentParser, horizon_default: int = 500) -> 
     p.add_argument("--horizon", type=int, default=horizon_default)
     p.add_argument("--max-degree", dest="max_degree", type=int, default=None,
                    help="degree cap (required for polynomial self-maps)")
-    p.add_argument("--sup-side", dest="sup_side", choices=("lower", "upper"), default="lower",
-                   help="which sup-norm bracket side to report in hinf")
 
 
 def _add_threshold_args(p: argparse.ArgumentParser) -> None:
@@ -173,7 +174,7 @@ def cmd_weights(args) -> int:
     config = _config_from_args(args)
     op = build_operator(config)
     iterates = weight_iterates(op.w, op.phi, config.horizon, max_degree=config.max_degree)
-    seq = weight_norm_sequence(iterates, config.space_spec(), sup_side=config.sup_side)
+    seq = weight_norm_sequence(iterates, config.space_spec())
     _emit(sequence_csv(seq), args.out)
     return 0
 
@@ -185,15 +186,13 @@ def cmd_orbit(args) -> int:
     if args.poly_coeffs:
         f = AnalyticPoly([float(c) for c in args.poly_coeffs.split(",")])
         seq = orbit_norm_sequence(op, f, spec, config.horizon,
-                                  cache=op.build_cache(config.horizon, max_degree=config.max_degree),
-                                  sup_side=config.sup_side)
+                                  cache=op.build_cache(config.horizon, max_degree=config.max_degree))
     else:
         cand = config.candidates[0]
         require_in_space(spec, cand["s"])
         cache = None if op.phi.fixes_one() else op.build_cache(config.horizon,
                                                                max_degree=config.max_degree)
-        seq = candidate_orbit(op, cand, spec, config.degree, config.horizon,
-                              cache=cache, sup_side=config.sup_side)
+        seq = candidate_orbit(op, cand, spec, config.degree, config.horizon, cache=cache)
     _emit(sequence_csv(seq), args.out)
     return 0
 
@@ -306,7 +305,7 @@ def cmd_preset(args) -> int:
         # phi fixes 1, so every candidate takes the closed-form route and
         # the weight norms stream: no iterate cache is built.
         files["weights.csv"] = sequence_csv(weight_norm_sequence(
-            weight_iterates(op.w, op.phi, config.horizon), spec, sup_side=config.sup_side))
+            weight_iterates(op.w, op.phi, config.horizon), spec))
         n = np.arange(1, config.horizon + 1)
         for k in (0, 1, 2):
             seq = candidate_orbit(op, {"s": 0.25, "k": k}, spec, config.degree,

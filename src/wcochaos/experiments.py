@@ -116,7 +116,6 @@ class ExperimentConfig:
     growth_factor: float = DEFAULT_GROWTH_FACTOR
     candidates: list = field(default_factory=lambda: [{"s": -0.4, "k": 0}])
     max_degree: int | None = None
-    sup_side: str = "lower"
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -130,6 +129,7 @@ class ExperimentConfig:
         version = d.pop("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema_version {version}")
+        d.pop("sup_side", None)  # older configs chose an H^inf bracket side; both are kept now
         if "candidates" in d:
             d["candidates"] = [{"s": _num_from_json(c["s"]), "k": int(c.get("k", 0))}
                                for c in d["candidates"]]
@@ -155,8 +155,7 @@ def build_operator(config: ExperimentConfig) -> WeightedCompOp:
 
 
 def candidate_orbit(op: WeightedCompOp, candidate: dict, spec: SpaceSpec,
-                    degree: int, horizon: int, cache=None,
-                    sup_side: str = "lower") -> NormSequence:
+                    degree: int, horizon: int, cache=None) -> NormSequence:
     """Orbit norm sequence for one (s, k) candidate.
 
     Symbols fixing z = 1 use the closed-form route, which keeps the
@@ -165,11 +164,10 @@ def candidate_orbit(op: WeightedCompOp, candidate: dict, spec: SpaceSpec,
     """
     s, k = candidate["s"], candidate.get("k", 0)
     if op.phi.fixes_one():
-        return eigen_orbit_norm_sequence(op, s, degree, spec, horizon,
-                                         power=k, sup_side=sup_side)
+        return eigen_orbit_norm_sequence(op, s, degree, spec, horizon, power=k)
     require_in_space(spec, s)
     f = binomial_series(s, degree) * AnalyticPoly.monomial(k)
-    return orbit_norm_sequence(op, f, spec, horizon, cache=cache, sup_side=sup_side)
+    return orbit_norm_sequence(op, f, spec, horizon, cache=cache)
 
 
 @dataclass
@@ -197,7 +195,7 @@ def build_sequences(config: ExperimentConfig) -> tuple[NormSequence, list[NormSe
         iterates = weight_iterates(op.w, op.phi, config.horizon, max_degree=config.max_degree)
     else:
         iterates = cache = op.build_cache(config.horizon, max_degree=config.max_degree)
-    weight_seq = weight_norm_sequence(iterates, spec, sup_side=config.sup_side)
+    weight_seq = weight_norm_sequence(iterates, spec)
     orbits = [candidate_orbit(op, c, spec, config.degree, config.horizon, cache=cache)
               for c in config.candidates]
     return weight_seq, orbits
@@ -219,11 +217,20 @@ def run_classify(config: ExperimentConfig) -> ClassifyResult:
                           li_yorke=li, mean_li_yorke=mean)
 
 
-def _scaled(seq: NormSequence, logs: np.ndarray, lam: float, a: float) -> NormSequence:
-    """The lam = 1 sequence ``seq`` with log norms ``logs``, scaled to w = lam z."""
-    if lam == 0:
-        values = np.zeros(len(logs))
-    else:
+def _log_sides(seq: NormSequence) -> list:
+    """log v_n of the lower side of ``seq`` and, in H^inf, of its upper side."""
+    if seq.upper is seq.values:
+        return [seq.log_norms()]
+    with np.errstate(divide="ignore"):
+        return [seq.log_norms(), np.log(seq.upper)]
+
+
+def _scaled(seq: NormSequence, log_sides: list, lam: float, a: float) -> NormSequence:
+    """The lam = 1 sequence ``seq``, whose sides have the logs ``log_sides``,
+    scaled to w = lam z."""
+    def scale(logs):
+        if lam == 0:
+            return np.zeros(len(logs))
         n = np.arange(1, len(logs) + 1)
         with np.errstate(over="ignore"):
             values = np.exp(n * math.log(abs(lam)) + logs)
@@ -231,7 +238,10 @@ def _scaled(seq: NormSequence, logs: np.ndarray, lam: float, a: float) -> NormSe
         if len(inf):
             raise ValueError(f"sweep cell lam={lam!r}, a={a!r}: {seq.label} overflows a "
                              f"double at n={inf[0] + 1}")
-    return replace(seq, values=values, log_values=None)
+        return values
+
+    sides = [scale(logs) for logs in log_sides]
+    return replace(seq, values=sides[0], upper=sides[-1], log_values=None)
 
 
 def sweep_task(args: tuple) -> list[dict]:
@@ -256,7 +266,7 @@ def sweep_task(args: tuple) -> list[dict]:
         config.weight, config.phi_affine = "1.0*z", y
         weight_seq, orbits = build_sequences(config)
         seqs = [weight_seq, *orbits]
-        logs = [seq.log_norms() for seq in seqs]
+        logs = [_log_sides(seq) for seq in seqs]
         for lam in xs:
             scaled = [_scaled(seq, log, lam, y) for seq, log in zip(seqs, logs)]
             li, mean = _verdicts(config, scaled[0], scaled[1:])

@@ -10,9 +10,8 @@ Horner passes over the closed-form coefficients of phi^n, a bounded chunk of
 n at a time.  Each product drops its trailing coefficients that are exactly
 zero: in the usual case 1 - phi(z) = alpha (1 - z) with |alpha| < 1 the
 high coefficients of w(n) underflow to 0.0, so a step costs O(nonzero
-width), not O(n).  Storing every w(n) costs up to O(H^2) coefficients at
-horizon H, so ``weight_iterate_sequence`` materialises the stream into a
-``WeightIterateCache`` only for the random access of
+width), not O(n).  ``weight_iterate_sequence`` stores the same trimmed
+iterates in a ``WeightIterateCache``, for the random access of
 ``WeightedCompOp.apply_n``.
 """
 
@@ -31,7 +30,8 @@ class WeightIterateCache:
 
     Built only where ``WeightedCompOp.apply_n`` needs w(n) and phi^n by
     index; sequential consumers stream ``weight_iterates`` instead.  For
-    affine symbols everything is exact and deg w(n) = n * deg w; with a
+    affine symbols everything is exact: w(n) has degree n * deg w, stored
+    without the trailing coefficients that are exactly 0.0; with a
     degree cap (mandatory for polynomial symbols) the stored coefficients are
     exact partial sums and ``truncated`` records that the cap dropped a
     nonzero coefficient, so that the sequence only bounds the true iterates
@@ -124,18 +124,16 @@ def _factors(w: AnalyticPoly, phi: SelfMapSymbol, horizon: int, max_degree: int 
     return (it.compose_into(w, max_degree=max_degree).coeffs for it in symbols[1:-1])
 
 
-def _steps(w: AnalyticPoly, factors, max_degree: int | None, capped_from: int,
-           trim: bool):
-    """(w(n), n >= capped_from) by w(n+1) = w(n) * (w o phi^n); with ``trim``
-    each w(n) drops its trailing exact zeros."""
+def _steps(w: AnalyticPoly, factors, max_degree: int | None, capped_from: int):
+    """(w(n), n >= capped_from) by w(n+1) = w(n) * (w o phi^n), each w(n)
+    without its trailing exact zeros."""
     yield w, capped_from <= 1
     current = w.coeffs
     for n, factor in enumerate(factors, start=2):
         current = coeff_product(current, factor)
         if max_degree is not None:
             current = current[: max_degree + 1]
-        if trim:
-            current = trim_trailing_zeros(current)
+        current = trim_trailing_zeros(current)
         yield AnalyticPoly._adopt(current), n >= capped_from
 
 
@@ -151,7 +149,7 @@ def weight_iterates(w: WeightSymbol, phi: SelfMapSymbol, horizon: int,
     _require_iterable(phi, horizon)
     wp = w.poly.trimmed()
     return _steps(wp, _factors(wp, phi, horizon, max_degree), max_degree,
-                  first_capped(w, phi, horizon, max_degree), trim=True)
+                  first_capped(w, phi, horizon, max_degree))
 
 
 def weight_iterate_sequence(w: WeightSymbol, phi: SelfMapSymbol, horizon: int,
@@ -165,8 +163,9 @@ def weight_iterate_sequence(w: WeightSymbol, phi: SelfMapSymbol, horizon: int,
     """
     _require_iterable(phi, horizon)
     symbols = phi.iterates(horizon, max_degree)
-    steps = list(_steps(w.poly, _factors(w.poly, phi, horizon, max_degree, symbols),
-                        max_degree, first_capped(w, phi, horizon, max_degree), trim=False))
+    wp = w.poly.trimmed()
+    steps = list(_steps(wp, _factors(wp, phi, horizon, max_degree, symbols), max_degree,
+                        first_capped(w, phi, horizon, max_degree)))
     return WeightIterateCache(w=w, phi=phi, horizon=horizon,
                               weights=[wn for wn, _ in steps],
                               symbol_iterates=symbols, max_degree=max_degree,

@@ -19,8 +19,9 @@ then no longer resolves the truncation scale).  The running product drops
 its trailing zeros each step, and its factors come batched from
 ``iterates.affine_compositions``.
 
-Both streamed routines hand their polynomials to ``spaces.space_norms``,
-which takes H^2, A^2_beta and H^inf norms one block of rows at a time.
+All three routines hand their polynomials to ``spaces.space_norms``,
+which takes H^2, A^2_beta and H^inf norms one block of rows at a time and
+returns both sides of the H^inf bracket.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from .iterates import (WeightIterateCache, affine_compositions, first_capped,
                        weight_iterate_sequence)
 from .series import AnalyticPoly, coeff_product, binomial_series, trim_trailing_zeros
-from .spaces import SpaceSpec, require_in_space, space_norm, space_norms, space_provenance
+from .spaces import SpaceSpec, require_in_space, space_norms, space_provenance
 from .symbols import SelfMapSymbol, WeightSymbol
 
 __all__ = [
@@ -83,11 +84,13 @@ class WeightedCompOp:
 class NormSequence:
     """Finite norm sequence v_1..v_T with provenance bookkeeping.
 
-    ``provenance`` is one of exact-coefficient, quadrature, bracket-lower,
-    bracket-upper; ``truncated`` marks values computed from capped
-    arithmetic.  Certificates consult both before trusting a decay claim.
-    ``log_values``, when a producer tracks its scale in log space, holds
-    log v_n even where v_n itself leaves the double range.
+    ``provenance`` is one of exact-coefficient, quadrature, bracket-lower;
+    ``truncated`` marks values computed from capped arithmetic, which
+    certificates keep out of their tests.  ``upper`` is the upper side of
+    the H^inf bracket, whose lower side is ``values``; elsewhere it is
+    ``values`` itself, the same array.  ``log_values``, when a producer
+    tracks its scale in log space, holds log v_n even where v_n itself
+    leaves the double range.
     """
 
     values: np.ndarray
@@ -96,19 +99,25 @@ class NormSequence:
     label: str = ""
     truncated: bool = False
     log_values: np.ndarray | None = None
+    upper: np.ndarray | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("a norm sequence must hold at least one value")
-        if np.any(arr < 0):
-            raise ValueError("norms cannot be negative")
-        nan = np.flatnonzero(np.isnan(arr))
-        if len(nan):
-            raise ValueError(f"norm sequence {self.label!r} has its first NaN at n={nan[0] + 1}: "
-                             "an iterate overflowed a double")
-        arr.setflags(write=False)
+        upper = arr if self.upper is None else np.asarray(self.upper, dtype=np.float64)
+        if upper.shape != arr.shape:
+            raise ValueError("upper must match values in length")
+        for side in (arr,) if upper is arr else (arr, upper):
+            if np.any(side < 0):
+                raise ValueError("norms cannot be negative")
+            nan = np.flatnonzero(np.isnan(side))
+            if len(nan):
+                raise ValueError(f"norm sequence {self.label!r} has its first NaN at "
+                                 f"n={nan[0] + 1}: an iterate overflowed a double")
+            side.setflags(write=False)
         object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "upper", upper)
         if self.log_values is not None:
             logs = np.asarray(self.log_values, dtype=np.float64)
             if logs.shape != arr.shape:
@@ -137,8 +146,8 @@ class NormSequence:
             return np.log(self.values)
 
 
-def weight_norm_sequence(iterates: Iterable[tuple[AnalyticPoly, bool]], spec: SpaceSpec,
-                         sup_side: str = "lower") -> NormSequence:
+def weight_norm_sequence(iterates: Iterable[tuple[AnalyticPoly, bool]],
+                         spec: SpaceSpec) -> NormSequence:
     """Norms of the weight iterates; equals the orbit of the constant 1.
 
     ``iterates`` yields (w(n), truncated) pairs in order: a stream from
@@ -153,15 +162,14 @@ def weight_norm_sequence(iterates: Iterable[tuple[AnalyticPoly, bool]], spec: Sp
         for wn, truncated in iterates:
             yield wn.coeffs
 
-    vals = space_norms(rows(), spec, sup_side=sup_side)
-    return NormSequence(values=vals, space=spec,
-                        provenance=space_provenance(spec, sup_side, truncated),
+    lower, upper = space_norms(rows(), spec)
+    return NormSequence(values=lower, upper=upper, space=spec,
+                        provenance=space_provenance(spec, truncated),
                         label="weight-norm", truncated=truncated)
 
 
 def orbit_norm_sequence(op: WeightedCompOp, f: AnalyticPoly, spec: SpaceSpec,
-                        horizon: int, cache: WeightIterateCache | None = None,
-                        sup_side: str = "lower") -> NormSequence:
+                        horizon: int, cache: WeightIterateCache | None = None) -> NormSequence:
     """Norms of T^n f for n = 1..horizon via the iterate identity."""
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -169,18 +177,17 @@ def orbit_norm_sequence(op: WeightedCompOp, f: AnalyticPoly, spec: SpaceSpec,
         cache = op.build_cache(horizon)
     if cache.horizon < horizon:
         raise ValueError("cache horizon too small for requested orbit")
-    vals = np.array([space_norm(op.apply_n(f, n, cache), spec, sup_side=sup_side)
-                     for n in range(1, horizon + 1)])
+    lower, upper = space_norms((op.apply_n(f, n, cache).coeffs
+                                for n in range(1, horizon + 1)), spec)
     degree = f.trimmed().degree
     truncated = first_capped(op.w, op.phi, horizon, cache.max_degree, degree) <= horizon
-    return NormSequence(values=vals, space=spec,
-                        provenance=space_provenance(spec, sup_side, truncated),
+    return NormSequence(values=lower, upper=upper, space=spec,
+                        provenance=space_provenance(spec, truncated),
                         label=f"orbit deg={degree}", truncated=truncated)
 
 
 def eigen_orbit_norm_sequence(op: WeightedCompOp, s, degree: int, spec: SpaceSpec,
-                              horizon: int, power: int = 0,
-                              sup_side: str = "lower") -> NormSequence:
+                              horizon: int, power: int = 0) -> NormSequence:
     """Orbit norms of the candidate (1-z)^s * z^k through the closed form.
 
     Requires an affine symbol with fixed point 1, where f o phi^n has the
@@ -233,14 +240,17 @@ def eigen_orbit_norm_sequence(op: WeightedCompOp, s, degree: int, spec: SpaceSpe
                     log_scale += math.log(peak)
                 product = trim_trailing_zeros(c)
 
-    nrm = space_norms(terms(), spec, sup_side=sup_side)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.where(nrm > 0, log_scales + np.log(nrm), -np.inf)
-    # A value past the double range reads inf here; log_values keeps it, and
-    # every output step refuses the inf.
-    with np.errstate(over="ignore"):
-        vals = np.exp(logs)
+    def unscaled(nrm):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = np.where(nrm > 0, log_scales + np.log(nrm), -np.inf)
+        # A value past the double range reads inf here; log_values keeps it,
+        # and every output step refuses the inf.
+        with np.errstate(over="ignore"):
+            return logs, np.exp(logs)
+
+    lower, upper = space_norms(terms(), spec)
+    logs, vals = unscaled(lower)
     label = f"eigen-orbit s={s} k={power} D={degree}"
-    return NormSequence(values=vals, space=spec,
-                        provenance=space_provenance(spec, sup_side, False),
-                        label=label, truncated=False, log_values=logs)
+    return NormSequence(values=vals, upper=vals if upper is lower else unscaled(upper)[1],
+                        space=spec, provenance=space_provenance(spec), label=label,
+                        truncated=False, log_values=logs)

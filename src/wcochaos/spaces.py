@@ -8,7 +8,8 @@ directly at radius 1: every representable function is a polynomial, hence
 continuous up to the boundary, so the radial supremum in the defining
 integral is attained there and no radial sweep is needed.  The sup norm is
 only bracketed: boundary-grid maximum from below, coefficient absolute sum
-from above.
+from above.  ``space_norm`` gives the lower side; ``space_norms`` gives
+both, so that each certificate test can read the side it bounds soundly.
 
 The coefficient norms and the sup bracket are kernels over a block of
 coefficient rows; ``coeff_norm_h2``, ``coeff_norm_bergman2`` and
@@ -466,13 +467,9 @@ def _check_sup_grid(grid_size: int) -> None:
         raise ValueError("sup bracket grid must have at least 64 points")
 
 
-def _check_sup_side(sup_side: str) -> None:
-    if sup_side not in ("lower", "upper"):
-        raise ValueError("sup_side must be 'lower' or 'upper'")
-
-
-def space_norm(f: AnalyticPoly, spec: SpaceSpec, sup_side: str = "lower") -> float:
-    """Norm of f in the given space; SupSpace returns the requested bracket side."""
+def space_norm(f: AnalyticPoly, spec: SpaceSpec) -> float:
+    """Norm of f in the given space; in H^inf the lower bracket side, the
+    boundary-grid maximum (``space_norms`` gives both sides)."""
     if isinstance(spec, Hardy):
         if spec.p == 2.0:
             return coeff_norm_h2(f)
@@ -484,28 +481,25 @@ def space_norm(f: AnalyticPoly, spec: SpaceSpec, sup_side: str = "lower") -> flo
                                    radial_order=spec.radial_order,
                                    angular_grid=spec.angular_grid)
     if isinstance(spec, SupSpace):
-        _check_sup_side(sup_side)
-        lower, upper = sup_norm_bracket(f, spec.grid_size)
-        return lower if sup_side == "lower" else upper
+        return sup_norm_bracket(f, spec.grid_size)[0]
     raise TypeError(f"unknown space spec {spec!r}")
 
 
-def _block_kernel(spec: SpaceSpec, sup_side: str):
+def _block_kernel(spec: SpaceSpec):
     """(kernel, least working width) for the coefficient spaces, or None.
 
-    The kernel maps a zero-padded block of coefficient rows to their norms.
+    The kernel maps a zero-padded block of coefficient rows to a tuple of
+    norm arrays: the two bracket sides in H^inf, the exact norms elsewhere.
     The sup bracket transforms every row on its grid, so a block is sized
     as if its rows were at least one grid wide.
     """
     if isinstance(spec, Hardy) and spec.p == 2.0:
-        return _h2_rows, 1
+        return (lambda block: (_h2_rows(block),)), 1
     if isinstance(spec, Bergman) and spec.p == 2.0:
-        return (lambda block: _bergman2_rows(block, spec.beta)), 1
+        return (lambda block: (_bergman2_rows(block, spec.beta),)), 1
     if isinstance(spec, SupSpace):
         _check_sup_grid(spec.grid_size)
-        _check_sup_side(sup_side)
-        side = 0 if sup_side == "lower" else 1
-        return (lambda block: _sup_rows(block, spec.grid_size)[side]), spec.grid_size
+        return (lambda block: _sup_rows(block, spec.grid_size)), spec.grid_size
     return None
 
 
@@ -516,20 +510,22 @@ def _padded_block(rows: list, width: int) -> np.ndarray:
     return block
 
 
-def space_norms(rows, spec: SpaceSpec, sup_side: str = "lower") -> np.ndarray:
-    """Norms of polynomials given by an iterable of 1-d coefficient arrays,
-    real or complex, in order, as ``space_norm`` gives them.
+def space_norms(rows, spec: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) norms of polynomials given by an iterable of 1-d
+    coefficient arrays, real or complex, in order.
 
-    In H^2, A^2_beta and H^inf the rows are gathered into zero-padded
-    complex blocks of at most about BLOCK_BYTES (one row when a single row
-    is wider), and each block takes one kernel call; a block holds as many
+    In H^inf these are the two sides of the sup bracket; in every other
+    space both are the same array of the values ``space_norm`` gives.  In
+    H^2, A^2_beta and H^inf the rows are gathered into zero-padded complex
+    blocks of at most about BLOCK_BYTES (one row when a single row is
+    wider), and each block takes one kernel call; a block holds as many
     rows as fit at its widest row.  Quadrature spaces take one
     ``space_norm`` call per row.
     """
-    found = _block_kernel(spec, sup_side)
+    found = _block_kernel(spec)
     if found is None:
-        return np.array([space_norm(AnalyticPoly(c), spec, sup_side=sup_side) for c in rows],
-                        dtype=np.float64)
+        vals = np.array([space_norm(AnalyticPoly(c), spec) for c in rows], dtype=np.float64)
+        return vals, vals
     kernel, least = found
     out, block, width = [], [], 0
     for c in rows:
@@ -541,18 +537,21 @@ def space_norms(rows, spec: SpaceSpec, sup_side: str = "lower") -> np.ndarray:
         width = wide
     if block:
         out.append(kernel(_padded_block(block, width)))
-    return np.concatenate(out) if out else np.empty(0)
+    if not out:
+        return np.empty(0), np.empty(0)
+    sides = [np.concatenate(side) for side in zip(*out)]
+    return sides[0], sides[-1]
 
 
-def space_provenance(spec: SpaceSpec, sup_side: str = "lower", capped: bool = False) -> str:
+def space_provenance(spec: SpaceSpec, capped: bool = False) -> str:
     """Provenance tag for norm values: how trustworthy each direction is.
 
     Coefficient norms of capped sequences are exact partial sums, hence
-    lower bounds; a boundary-grid sup maximum likewise only bounds from
-    below.  Certificates use these tags to refuse unsound decay claims.
+    lower bounds, and so is the boundary-grid maximum that an H^inf
+    sequence reports as its values; its upper side travels beside it.
     """
     if isinstance(spec, SupSpace):
-        return "bracket-lower" if sup_side == "lower" else "bracket-upper"
+        return "bracket-lower"
     exact = (isinstance(spec, Hardy) and spec.p == 2.0) or (
         isinstance(spec, Bergman) and spec.p == 2.0
     )

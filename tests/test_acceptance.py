@@ -9,7 +9,7 @@ import pytest
 
 from wcochaos.chaos import (certify_li_yorke, certify_mean_li_yorke,
                             eigen_residual, fit_window, growth_rate_fit,
-                            irregular_witness, sequence_stats)
+                            sequence_stats)
 from wcochaos.experiments import ExperimentConfig, run_classify
 from wcochaos.operators import (NormSequence, WeightedCompOp,
                                 eigen_orbit_norm_sequence, orbit_norm_sequence,

@@ -16,7 +16,7 @@ from wcochaos.experiments import ExperimentConfig, build_operator
 from wcochaos.iterates import affine_compositions, weight_iterates
 from wcochaos.operators import eigen_orbit_norm_sequence, weight_norm_sequence
 from wcochaos.series import AnalyticPoly, binomial_series, compose_affine, compose_affine_rows
-from wcochaos.spaces import Bergman, Hardy, SupSpace, space_norm, space_norms
+from wcochaos.spaces import Bergman, Hardy, SupSpace, space_norm, space_norms, sup_norm_bracket
 from wcochaos.symbols import SelfMapSymbol, validate_self_map
 
 CASES = [(Hardy(2.0), "lower"), (Bergman(2.0, 0.5), "lower"), (Bergman(2.0, -0.7), "lower"),
@@ -57,8 +57,14 @@ def test_block_kernels_match_per_row_norms(monkeypatch, spec, side, block_bytes)
     # bytes makes every row its own block.
     monkeypatch.setattr(spaces, "BLOCK_BYTES", block_bytes)
     rows = ragged_rows(np.random.default_rng(7))
-    got = space_norms(iter(rows), spec, sup_side=side)
-    per_row = np.array([space_norm(AnalyticPoly(c), spec, sup_side=side) for c in rows])
+    lower, upper = space_norms(iter(rows), spec)
+    got = upper if side == "upper" else lower
+    if not isinstance(spec, SupSpace):
+        assert upper is lower
+    if side == "upper":
+        per_row = np.array([sup_norm_bracket(AnalyticPoly(c))[1] for c in rows])
+    else:
+        per_row = np.array([space_norm(AnalyticPoly(c), spec) for c in rows])
     assert got.shape == (len(rows),)
     if isinstance(spec, SupSpace) and side == "lower":
         # Zero padding and folding add exact zeros: the same FFT input.
@@ -73,18 +79,18 @@ def test_block_kernels_match_per_row_norms(monkeypatch, spec, side, block_bytes)
 
 
 def test_block_kernels_check_their_arguments():
-    with pytest.raises(ValueError, match="sup_side"):
-        space_norms([np.ones(3)], SupSpace(), sup_side="middle")
     with pytest.raises(ValueError, match="64 points"):
         space_norms([np.ones(3)], SupSpace(grid_size=32))
-    assert space_norms([], Hardy(2.0)).shape == (0,)
+    for spec in (Hardy(2.0), SupSpace()):
+        assert [side.shape for side in space_norms([], spec)] == [(0,), (0,)]
 
 
 def test_quadrature_spaces_take_one_norm_per_row():
     rows = [np.array([1.0, 0.5]), np.array([0.3, 0.0, 0.2j])]
     for spec in (Hardy(3.0), Bergman(1.5, 0.2)):
-        assert np.array_equal(space_norms(rows, spec),
-                              [space_norm(AnalyticPoly(c), spec) for c in rows])
+        lower, upper = space_norms(rows, spec)
+        assert upper is lower
+        assert np.array_equal(lower, [space_norm(AnalyticPoly(c), spec) for c in rows])
 
 
 def affine(a):
@@ -169,11 +175,14 @@ class TestLongHorizons:
     def test_weight_norms_at_h3000(self, space):
         op = build_operator(ExperimentConfig(weight="0.95*z", phi_affine=0.3))
         spec = spaces.parse_space(space)
-        got = weight_norm_sequence(weight_iterates(op.w, op.phi, 3000), spec).values
-        want = np.array([space_norm(wn, spec) for wn in untrimmed_weights(op.w.poly, op.phi, 3000)])
-        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        seq = weight_norm_sequence(weight_iterates(op.w, op.phi, 3000), spec)
+        reference = list(untrimmed_weights(op.w.poly, op.phi, 3000))
+        want = np.array([space_norm(wn, spec) for wn in reference])
+        np.testing.assert_allclose(seq.values, want, rtol=1e-14, atol=0)
         if space == "hinf":
-            assert np.array_equal(got, want)
+            assert np.array_equal(seq.values, want)
+            upper = np.array([sup_norm_bracket(wn)[1] for wn in reference])
+            np.testing.assert_allclose(seq.upper, upper, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("power", [0, 2])
     def test_eigen_orbit_at_h3000(self, power):
@@ -186,7 +195,7 @@ class TestLongHorizons:
     def test_complex_eigen_orbit_keeps_complex_arithmetic(self):
         op = build_operator(ExperimentConfig(weight="0.9*z", phi_affine=0.3))
         s = 0.2 + 0.3j
-        got = eigen_orbit_norm_sequence(op, s, 128, SupSpace(), 400, power=1, sup_side="upper")
+        got = eigen_orbit_norm_sequence(op, s, 128, SupSpace(), 400, power=1)
         want = untrimmed_orbit_logs(op.w.poly, op.phi, s, 128, 400, 1,
                                     lambda c: float(np.sum(np.abs(c))))
-        np.testing.assert_allclose(np.exp(got.log_values - want), 1.0, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(got.upper / np.exp(want), 1.0, rtol=0, atol=1e-14)

@@ -5,7 +5,7 @@ import pytest
 
 from wcochaos.chaos import (certify_li_yorke, certify_mean_li_yorke,
                             decay_window, eigen_residual, fit_window,
-                            growth_rate_fit, irregular_witness, sequence_stats)
+                            growth_rate_fit, sequence_stats)
 from wcochaos.operators import (NormSequence, WeightedCompOp,
                                 eigen_orbit_norm_sequence, orbit_norm_sequence,
                                 weight_norm_sequence)
@@ -46,38 +46,6 @@ class TestSequenceStats:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             sequence_stats(np.array([]))
-
-
-class TestIrregularWitness:
-    def test_constant_is_regular(self):
-        assert not irregular_witness(synth([1.0] * 50), 1e-10, 1e3).fired
-
-    def test_synthetic_irregular(self):
-        v = np.ones(100)
-        v[9] = 1e-12
-        v[89] = 1e6
-        w = irregular_witness(synth(v), 1e-10, 1e3)
-        assert w.fired and w.argmin == 10 and w.argmax == 90
-        assert w.min_value == 1e-12 and w.max_value == 1e6
-
-    def test_pure_decay_is_not_irregular(self):
-        v = 0.5 ** np.arange(1, 200)
-        assert not irregular_witness(synth(v), 1e-10, 1e3).fired
-
-    def test_capped_orbit_stays_out_of_the_growth_scan(self):
-        v = 0.5 ** np.arange(1, 50)
-        grows = 2.0 ** np.arange(49)
-        capped = synth(grows, provenance="bracket-lower", truncated=True)
-        for certify in (certify_li_yorke, certify_mean_li_yorke):
-            assert certify(synth(v), [synth(grows)]).growth.orbit == 0
-            assert certify(synth(v), [capped]).growth is None
-            assert certify(synth(v), [capped, synth(grows)]).growth.orbit == 1
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            irregular_witness(synth([1.0]), -1.0, 1e3)
-        with pytest.raises(ValueError):
-            irregular_witness(synth([1.0]), 1e-10, 1.0)
 
 
 class TestCertifyLiYorke:
@@ -124,6 +92,18 @@ class TestCertifyLiYorke:
         assert verdict.kind == "LI_YORKE_EVIDENCE"
         assert verdict.growth.channel == "weight-norm"
 
+    def test_synthetic_irregular(self):
+        v = np.ones(100)
+        v[9] = 1e-12
+        v[89] = 1e6
+        verdict = certify_li_yorke(synth(v), [])
+        assert verdict.kind == "LI_YORKE_EVIDENCE"
+        assert (verdict.decay.index, verdict.decay.value) == (10, 1e-12)
+        assert (verdict.growth.index, verdict.growth.value) == (90, 1e6)
+        # A constant sequence shows neither channel, pure decay no growth.
+        assert certify_li_yorke(synth([1.0] * 50), []).kind == "NO_EVIDENCE"
+        assert certify_li_yorke(synth(0.5 ** np.arange(1, 200)), []).growth is None
+
     def test_growth_only_inconclusive(self):
         v = np.ones(100)
         v[79] = 5e3
@@ -132,12 +112,10 @@ class TestCertifyLiYorke:
 
     def test_decay_soundness_guards(self):
         v = 0.5 ** np.arange(1, 50)
-        with pytest.raises(ValueError):
-            certify_li_yorke(synth(v, provenance="bracket-lower"), [])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="capped"):
             certify_li_yorke(synth(v, truncated=True), [])
-        # bracket-upper decays soundly
-        verdict = certify_li_yorke(synth(np.r_[v, 1e-31], provenance="bracket-upper"), [])
+        # A lower-bound tag alone is no refusal: decay reads the upper side.
+        verdict = certify_li_yorke(synth(np.r_[v, 1e-31], provenance="bracket-lower"), [])
         assert verdict.decay is not None
 
     def test_capped_orbit_stays_out_of_the_growth_scan(self):
@@ -175,6 +153,61 @@ class TestCertifyLiYorke:
             assert ws.values[verdict.decay.index - 1] == verdict.decay.value
         if verdict.growth is not None:
             assert ws.values[verdict.growth.index - 1] == verdict.growth.value
+
+
+def bracketed(lower, upper):
+    return NormSequence(values=np.asarray(lower, dtype=float), upper=np.asarray(upper, dtype=float),
+                        space=SupSpace(), provenance="bracket-lower", label="bracketed")
+
+
+class TestBracketSides:
+    """Growth reads the lower side against G times the upper side's first
+    value; decay reads the upper side."""
+
+    CERTIFY = [certify_li_yorke, certify_mean_li_yorke]
+
+    @staticmethod
+    def channels(seq):
+        # (weight sequence, orbits) with ``seq`` as the weight norms or as an orbit
+        return [(seq, []), (synth(np.ones(len(seq))), [seq])]
+
+    @pytest.mark.parametrize("certify", CERTIFY)
+    def test_lower_side_alone_past_g_times_lower_1_fires_no_growth(self, certify):
+        # lower_1 = 1 and upper_1 = 10: the lower side passes G * lower_1 = 1e3
+        # (its Cesaro means too) but never G * upper_1 = 1e4.
+        lower, upper = np.full(100, 5e3), np.full(100, 1e4)
+        lower[0], upper[0] = 1.0, 10.0
+        for weight, orbits in self.channels(bracketed(lower, upper)):
+            assert certify(weight, orbits).growth is None
+        lower = np.r_[1.0, np.full(99, 2e6)]  # past G * upper_1, and so are its means
+        for weight, orbits in self.channels(bracketed(lower, upper)):
+            growth = certify(weight, orbits).growth
+            assert growth is not None and growth.value > 1e4
+            assert growth.channel == ("orbit" if orbits else "weight-norm")
+
+    @pytest.mark.parametrize("certify", CERTIFY)
+    def test_lower_side_alone_below_epsilon_fires_no_decay(self, certify):
+        lower = 0.5 ** np.arange(1, 101)  # below 1e-10 from n = 34, tail mean too
+        assert certify(bracketed(lower, np.ones(100)), []).decay is None
+        decay = certify(bracketed(lower, 2 * lower), []).decay
+        assert decay is not None and decay.value >= 2 * lower[-1]
+
+    def test_decay_and_growth_values_come_from_their_sides(self):
+        lower = 0.5 ** np.arange(1, 101)
+        lower[89] = 1e6
+        upper = 2 * lower
+        verdict = certify_li_yorke(bracketed(lower, upper), [])
+        assert verdict.kind == "LI_YORKE_EVIDENCE"
+        assert (verdict.decay.index, verdict.decay.value) == (100, upper[-1])
+        assert (verdict.growth.index, verdict.growth.value) == (90, 1e6)
+
+    def test_a_sequence_without_an_upper_side_is_its_own_upper_side(self):
+        seq = synth([1.0, 2.0])
+        assert seq.upper is seq.values
+        with pytest.raises(ValueError, match="length"):
+            bracketed([1.0, 2.0], [1.0])
+        with pytest.raises(ValueError, match="NaN"):
+            bracketed([1.0, 2.0], [1.0, np.nan])
 
 
 class TestCertifyMeanLiYorke:

@@ -214,6 +214,65 @@ class TestClassifyCommand:
         assert "space" in capsys.readouterr().err
 
 
+class TestSupSpaceSides:
+    """In hinf decay reads the upper bracket side and growth the lower one."""
+
+    ARGS = ["classify", "--phi-affine", "0.25", "--space", "hinf", "--candidates", "s=0.5"]
+
+    def classify(self, tmp_path, weight):
+        out = tmp_path / "verdict.json"
+        assert main(self.ARGS + ["--w", weight, "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    def test_decay_reads_the_upper_side(self, tmp_path):
+        doc = self.classify(tmp_path, "0.9*z")
+        for block, n, value in (("li_yorke", 500, 1.3220708194808237e-23),
+                                ("mean_li_yorke", 251, 1.3089705046465668e-13)):
+            assert doc[block]["kind"] == "INCONCLUSIVE"
+            assert doc[block]["decay_witness"] == {"n": n, "value": value}
+            assert doc[block]["growth_witness"] is None
+        assert "sup_side" not in doc["li_yorke"]["config"]
+
+    def test_growth_reads_the_lower_side(self, tmp_path):
+        doc = self.classify(tmp_path, "1.1*z")
+        # the coefficient-sum side: 1.1^500 and the Cesaro mean of 1.1^n at n = 500
+        for block, value, rate in (("li_yorke", 4.969841967312473e+20, 0.09531017980432493),
+                                   ("mean_li_yorke", 1.0933652328087433e+19,
+                                    0.09277773335546594)):
+            growth = doc[block]["growth_witness"]
+            assert doc[block]["kind"] == "INCONCLUSIVE" and doc[block]["decay_witness"] is None
+            assert (growth["channel"], growth["orbit"], growth["n"]) == ("weight-norm", None, 500)
+            assert growth["value"] == pytest.approx(value, rel=1e-12)
+            assert growth["rate"] == pytest.approx(rate, rel=1e-12)
+
+    @pytest.mark.parametrize("command", [["weights"], ["orbit", "--candidates", "s=0.5,k=1"]],
+                             ids=["weights", "orbit"])
+    def test_csv_carries_both_sides(self, tmp_path, command):
+        out = tmp_path / "seq.csv"
+        assert main([*command, "--w", "0.9*z", "--phi-affine", "0.25", "--space", "hinf",
+                     "--horizon", "60", "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert list(rows[0]) == ["n", "norm", "cesaro_mean", "running_min", "running_max",
+                                 "norm_upper"]
+        lower = np.array([float(r["norm"]) for r in rows])
+        upper = np.array([float(r["norm_upper"]) for r in rows])
+        assert np.all(lower <= upper * (1 + 1e-14))
+
+    def test_the_side_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            main(["weights", "--space", "hinf", "--sup-side", "upper"])
+
+    def test_version_1_config_with_a_side_loads(self, tmp_path):
+        cfg = ExperimentConfig(weight="0.9*z", phi_affine=0.25, space="hinf", horizon=200,
+                               candidates=[{"s": 0.5, "k": 0}]).to_dict()
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**cfg, "sup_side": "upper"}))
+        assert ExperimentConfig.from_dict(json.loads(path.read_text())).to_dict() == cfg
+        out = tmp_path / "verdict.json"
+        assert main(["classify", "--config", str(path), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["li_yorke"]["config"] == cfg
+
+
 class TestSweepCommand:
     def test_small_grid_matches_hypothesis_region(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -177,9 +177,10 @@ class TestOrbitSequences:
     def test_sup_lower_sequence_is_exact_geometric(self):
         op = make_op([0, 0.6], 0.5)
         cache = op.build_cache(60)
-        seq = weight_norm_sequence(cache, SupSpace(), sup_side="lower")
+        seq = weight_norm_sequence(cache, SupSpace())
         expected = 0.6 ** np.arange(1, 61)
-        assert np.max(np.abs(seq.values - expected) / expected) <= 1e-9
+        for side in (seq.values, seq.upper):
+            assert np.max(np.abs(side - expected) / expected) <= 1e-9
 
     def test_h2_weight_sequence_tracks_geometric_rate(self):
         op = make_op([0, 0.6], 0.5)
@@ -195,7 +196,6 @@ class TestOrbitSequences:
         assert weight_norm_sequence(cache, Hardy(2)).provenance == "exact-coefficient"
         assert weight_norm_sequence(cache, Hardy(1)).provenance == "quadrature"
         assert weight_norm_sequence(cache, SupSpace()).provenance == "bracket-lower"
-        assert weight_norm_sequence(cache, SupSpace(), sup_side="upper").provenance == "bracket-upper"
         capped = op.build_cache(5, max_degree=2)
         seq = weight_norm_sequence(capped, Hardy(2))
         assert seq.provenance == "bracket-lower" and seq.truncated

@@ -18,7 +18,8 @@ from wcochaos.series import AnalyticPoly, binomial_series, eval_on_circle
 from wcochaos.spaces import (Bergman, Hardy, SupSpace, bergman2_coeff_weights,
                              coeff_norm_bergman2, coeff_norm_h2, parse_space,
                              quad_norm_bergman_p, quad_norm_hp, require_in_space,
-                             space_norm, space_provenance, sup_norm_bracket)
+                             space_norm, space_norms, space_provenance,
+                             sup_norm_bracket)
 
 coeff_pairs = st.tuples(st.floats(-1, 1), st.floats(-1, 1))
 polys = st.lists(coeff_pairs, min_size=1, max_size=33).map(
@@ -407,8 +408,7 @@ class TestHomogeneityAndDispatch:
         assert space_provenance(Hardy(1)) == "quadrature"
         assert space_provenance(Bergman(2, 0.0)) == "exact-coefficient"
         assert space_provenance(Bergman(2.5, 0.0)) == "quadrature"
-        assert space_provenance(SupSpace(), sup_side="lower") == "bracket-lower"
-        assert space_provenance(SupSpace(), sup_side="upper") == "bracket-upper"
+        assert space_provenance(SupSpace()) == "bracket-lower"
 
     def test_parse_space(self):
         assert parse_space("h2") == Hardy(2)
@@ -423,11 +423,12 @@ class TestHomogeneityAndDispatch:
             parse_space("h0.5")
 
     def test_sup_space_side_dispatch(self):
-        f = AnalyticPoly([0.5, 0.5])
-        assert space_norm(f, SupSpace(), sup_side="upper") == pytest.approx(1.0)
-        assert space_norm(f, SupSpace(), sup_side="lower") <= 1.0 + 1e-12
-        with pytest.raises(ValueError):
-            space_norm(f, SupSpace(), sup_side="middle")
+        # space_norm gives the lower side, space_norms both
+        f = AnalyticPoly([0.5, 0.5j])
+        lower, upper = space_norms([f.coeffs], SupSpace())
+        assert upper[0] == 1.0
+        assert lower[0] == space_norm(f, SupSpace()) == sup_norm_bracket(f)[0]
+        assert lower[0] == pytest.approx(1.0, abs=1e-4)
 
 
 class TestCandidateMembership:

@@ -113,10 +113,12 @@ def _peak_mb(argv) -> float:
 
 
 class TestMemory:
-    """At H = 2000 the stored w(n) alone take about 31 MB."""
+    """Stored iterates drop their exact-zero tails.  Under a = 0.9999 no
+    coefficient of w(n) underflows by H = 2000, so the stored w(n) keep all
+    of theirs and take about 31 MB; under a = 0.3 they take about 2 MB."""
 
     def test_stored_iterates_would_show(self):
-        op = WeightedCompOp(WeightSymbol.from_coeffs([0, 0.9]), validated(0.3))
+        op = WeightedCompOp(WeightSymbol.from_coeffs([0, 0.9]), validated(0.9999))
         tracemalloc.start()
         try:
             cache = op.build_cache(2000)
@@ -124,6 +126,15 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert len(cache) == 2000 and peak > 20
+        assert len(cache.weight_iterate(2000).coeffs) == 2001
+
+    def test_stored_iterates_are_trimmed(self):
+        op = WeightedCompOp(WeightSymbol.from_coeffs([0, 0.9]), validated(0.3))
+        cache = op.build_cache(2000)
+        stored = sum(cache.weight_iterate(n).coeffs.nbytes for n in range(1, 2001)) / MB
+        assert stored < 4
+        for n, (wn, _) in enumerate(weight_iterates(op.w, op.phi, 2000), start=1):
+            assert np.array_equal(cache.weight_iterate(n).coeffs, wn.coeffs)
 
     def test_weights_peak(self, tmp_path):
         peak = _peak_mb(["weights", *SYMBOLS, "--space", "h2", "--horizon", "2000",

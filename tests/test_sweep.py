@@ -44,24 +44,23 @@ def assert_same_verdict(got, want):
         assert close(got.growth.rate, want.growth.rate)
 
 
-# (space, horizon, degree, candidates, sup_side, lams, avals); every cell
-# stays inside the double range, so the per-cell route is a fair reference.
+# (space, horizon, degree, candidates, lams, avals); every cell stays inside
+# the double range, so the per-cell route is a fair reference.  In hinf both
+# bracket sides are scaled: decay reads one and growth the other.
 CASES = {
-    "h2": ("h2", 1000, 256, [{"s": -0.4, "k": 0}, {"s": 0.25, "k": 1}], "lower",
+    "h2": ("h2", 1000, 256, [{"s": -0.4, "k": 0}, {"s": 0.25, "k": 1}],
            [0.5, 0.8, 0.97], [0.3, 0.45]),
-    "bergman2": ("bergman:2:0.5", 600, 256, [{"s": -0.6, "k": 0}], "lower",
-                 [0.6, 0.9], [0.25, 0.5]),
-    "h3": ("h3", 160, 96, [{"s": -0.2, "k": 0}], "lower", [0.7, 0.9], [0.05, 0.4]),
-    "hinf-upper": ("hinf", 400, 128, [{"s": 0.5, "k": 0}], "upper",
-                   [0.5, 1.0, 1.1], [0.3, 0.6]),
+    "bergman2": ("bergman:2:0.5", 600, 256, [{"s": -0.6, "k": 0}], [0.6, 0.9], [0.25, 0.5]),
+    "h3": ("h3", 160, 96, [{"s": -0.2, "k": 0}], [0.7, 0.9], [0.05, 0.4]),
+    "hinf": ("hinf", 400, 128, [{"s": 0.5, "k": 0}], [0.5, 1.0, 1.1], [0.3, 0.6]),
 }
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_columns_match_one_classify_per_cell(name):
-    space, horizon, degree, candidates, side, lams, avals = CASES[name]
+    space, horizon, degree, candidates, lams, avals = CASES[name]
     base = ExperimentConfig(space=space, horizon=horizon, degree=degree, epsilon=1e-6,
-                            candidates=candidates, sup_side=side).to_dict()
+                            candidates=candidates).to_dict()
     kinds = set()
     for a in avals:
         rows = sweep_task(("lambda-a", lams, a, base))
