@@ -48,6 +48,30 @@ class TestSequenceStats:
             sequence_stats(np.array([]))
 
 
+class TestIrregularWitness:
+    """The decay/growth witness pair that certify_li_yorke reports."""
+
+    def test_constant_is_regular(self):
+        verdict = certify_li_yorke(synth([1.0] * 50), [], epsilon=1e-10, growth_factor=1e3)
+        assert verdict.kind == "NO_EVIDENCE"
+        assert verdict.decay is None and verdict.growth is None
+
+    def test_synthetic_irregular(self):
+        v = np.ones(100)
+        v[9] = 1e-12
+        v[89] = 1e6
+        verdict = certify_li_yorke(synth(v), [], epsilon=1e-10, growth_factor=1e3)
+        assert verdict.kind == "LI_YORKE_EVIDENCE"
+        assert (verdict.decay.index, verdict.decay.value) == (10, 1e-12)
+        assert (verdict.growth.index, verdict.growth.value) == (90, 1e6)
+
+    def test_pure_decay_is_not_irregular(self):
+        v = 0.5 ** np.arange(1, 200)
+        verdict = certify_li_yorke(synth(v), [], epsilon=1e-10, growth_factor=1e3)
+        assert verdict.kind != "LI_YORKE_EVIDENCE"
+        assert verdict.decay is not None and verdict.growth is None
+
+
 class TestCertifyLiYorke:
     def test_rotation_control_no_evidence(self):
         phi = SelfMapSymbol.rotation(np.pi / 3)
@@ -91,18 +115,6 @@ class TestCertifyLiYorke:
         verdict = certify_li_yorke(synth(v), [])
         assert verdict.kind == "LI_YORKE_EVIDENCE"
         assert verdict.growth.channel == "weight-norm"
-
-    def test_synthetic_irregular(self):
-        v = np.ones(100)
-        v[9] = 1e-12
-        v[89] = 1e6
-        verdict = certify_li_yorke(synth(v), [])
-        assert verdict.kind == "LI_YORKE_EVIDENCE"
-        assert (verdict.decay.index, verdict.decay.value) == (10, 1e-12)
-        assert (verdict.growth.index, verdict.growth.value) == (90, 1e6)
-        # A constant sequence shows neither channel, pure decay no growth.
-        assert certify_li_yorke(synth([1.0] * 50), []).kind == "NO_EVIDENCE"
-        assert certify_li_yorke(synth(0.5 ** np.arange(1, 200)), []).growth is None
 
     def test_growth_only_inconclusive(self):
         v = np.ones(100)
