@@ -9,7 +9,7 @@ phi = a z + 1 - a, whose iterates factor completely.
 import numpy as np
 
 from wcochaos import (Hardy, SupSpace, WeightSymbol, affine_fixing_one,
-                      validate_self_map, weight_iterate_sequence,
+                      validate_self_map, weight_iterate_sequence, weight_iterates,
                       weight_norm_sequence)
 
 lam, a = 0.6, 0.5
@@ -19,24 +19,25 @@ validate_self_map(phi)
 print(f"weight w = {lam}*z, symbol phi = {a}*z + {1-a}")
 print(f"sup-norm bracket of w: {w.bracket}")
 
-cache = weight_iterate_sequence(w, phi, horizon=50)
+# The stored (w(n), truncated) pairs, for indexing; norms read a stream.
+stored = [wn for wn, _ in weight_iterate_sequence(w, phi, horizon=50)]
 print("\nfirst iterates:")
 for n in (1, 2, 3):
-    print(f"  w({n}) =", cache.weight_iterate(n).trimmed())
+    print(f"  w({n}) =", stored[n - 1])
 
 print("\nat z = 1 every factor except the lam*z ones equals 1, so")
 for n in (5, 20, 50):
-    print(f"  |w({n})(1)| = {abs(cache.weight_iterate(n)(1.0)):.3e}"
+    print(f"  |w({n})(1)| = {abs(stored[n - 1](1.0)):.3e}"
           f"  vs lam^{n} = {lam**n:.3e}")
 
 print("\nsup-norm brackets pin the sequence to the geometric law")
 print("(one sequence carries both sides: values below, upper above):")
-sup = weight_norm_sequence(cache, SupSpace())
+sup = weight_norm_sequence(weight_iterates(w, phi, 50), SupSpace())
 for n in (1, 10, 30, 50):
     print(f"  n={n:>2}: lower {sup.value(n):.6e}  upper {sup.upper[n - 1]:.6e}"
           f"  lam^n {lam**n:.6e}")
 
-h2 = weight_norm_sequence(cache, Hardy(2))
+h2 = weight_norm_sequence(weight_iterates(w, phi, 50), Hardy(2))
 ratio = h2.values / lam ** np.arange(1, 51)
 print(f"\nH2 norms stay a bounded fraction of lam^n: ratio range "
       f"[{ratio.min():.4f}, {ratio.max():.4f}]")

@@ -9,7 +9,7 @@ from .series import (AnalyticPoly, binomial_series, compose, compose_affine,
                      eval_on_circle)
 from .symbols import (SelfMapSymbol, WeightSymbol, affine_fixing_one,
                       validate_self_map)
-from .iterates import WeightIterateCache, weight_iterate_sequence, weight_iterates
+from .iterates import weight_iterate_sequence, weight_iterates
 from .spaces import (Bergman, Hardy, SpaceSpec, SupSpace,
                      bergman2_coeff_weights, coeff_norm_bergman2,
                      coeff_norm_h2, parse_space, quad_norm_bergman_p,
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyticPoly", "binomial_series", "compose", "compose_affine", "eval_on_circle",
     "SelfMapSymbol", "WeightSymbol", "affine_fixing_one", "validate_self_map",
-    "WeightIterateCache", "weight_iterate_sequence", "weight_iterates",
+    "weight_iterate_sequence", "weight_iterates",
     "Hardy", "Bergman", "SupSpace", "SpaceSpec", "parse_space",
     "coeff_norm_h2", "coeff_norm_bergman2", "bergman2_coeff_weights",
     "quad_norm_hp", "quad_norm_bergman_p", "sup_norm_bracket", "space_norm",

@@ -83,7 +83,9 @@ def sequence_stats(seq) -> SequenceStats:
     v = _values(seq)
     if v.size == 0:
         raise ValueError("empty sequence")
-    cesaro = np.cumsum(v) / np.arange(1, len(v) + 1)
+    # A sum past the double range reads inf; every output step refuses it.
+    with np.errstate(over="ignore"):
+        cesaro = np.cumsum(v) / np.arange(1, len(v) + 1)
     return SequenceStats(
         min_value=float(v.min()),
         argmin=int(v.argmin()) + 1,

@@ -185,14 +185,11 @@ def cmd_orbit(args) -> int:
     spec = config.space_spec()
     if args.poly_coeffs:
         f = AnalyticPoly([float(c) for c in args.poly_coeffs.split(",")])
-        seq = orbit_norm_sequence(op, f, spec, config.horizon,
-                                  cache=op.build_cache(config.horizon, max_degree=config.max_degree))
+        seq = orbit_norm_sequence(op, f, spec, config.horizon, config.max_degree)
     else:
         cand = config.candidates[0]
         require_in_space(spec, cand["s"])
-        cache = None if op.phi.fixes_one() else op.build_cache(config.horizon,
-                                                               max_degree=config.max_degree)
-        seq = candidate_orbit(op, cand, spec, config.degree, config.horizon, cache=cache)
+        seq = candidate_orbit(op, cand, spec, config.degree, config.horizon, config.max_degree)
     _emit(sequence_csv(seq), args.out)
     return 0
 
@@ -302,8 +299,7 @@ def cmd_preset(args) -> int:
                                   candidates=[{"s": 0.25, "k": k} for k in (0, 1, 2)])
         op = build_operator(config)
         spec = config.space_spec()
-        # phi fixes 1, so every candidate takes the closed-form route and
-        # the weight norms stream: no iterate cache is built.
+        # phi fixes 1, so every candidate takes the closed-form route.
         files["weights.csv"] = sequence_csv(weight_norm_sequence(
             weight_iterates(op.w, op.phi, config.horizon), spec))
         n = np.arange(1, config.horizon + 1)

@@ -3,8 +3,9 @@
 A single ExperimentConfig describes symbols, space, truncation degree,
 horizon, thresholds and candidate vectors; it round-trips losslessly
 through JSON (schema_version 1).  ``build_sequences`` builds the operator,
-the weight norms and the candidate orbits; ``run_classify`` adds both
-certificates, for the CLI subcommands and presets.
+the weight norms and the candidate orbits, each computing the weight
+iterates it needs afresh rather than sharing stored ones; ``run_classify``
+adds both certificates, for the CLI subcommands and presets.
 
 A ``lambda-a`` sweep varies w = lam z and phi = a z + 1 - a.  Every weight
 iterate is then w(n) = lam^n w(n)|_{lam=1}, and every orbit element is
@@ -155,19 +156,20 @@ def build_operator(config: ExperimentConfig) -> WeightedCompOp:
 
 
 def candidate_orbit(op: WeightedCompOp, candidate: dict, spec: SpaceSpec,
-                    degree: int, horizon: int, cache=None) -> NormSequence:
+                    degree: int, horizon: int, max_degree: int | None = None) -> NormSequence:
     """Orbit norm sequence for one (s, k) candidate.
 
     Symbols fixing z = 1 use the closed-form route, which keeps the
     truncation error of the candidate uniform in n; any other symbol falls
-    back to the direct iterate identity on the truncated polynomial.
+    back to the direct iterate identity on the truncated polynomial, capped
+    at ``max_degree``.
     """
     s, k = candidate["s"], candidate.get("k", 0)
     if op.phi.fixes_one():
         return eigen_orbit_norm_sequence(op, s, degree, spec, horizon, power=k)
     require_in_space(spec, s)
     f = binomial_series(s, degree) * AnalyticPoly.monomial(k)
-    return orbit_norm_sequence(op, f, spec, horizon, cache=cache)
+    return orbit_norm_sequence(op, f, spec, horizon, max_degree)
 
 
 @dataclass
@@ -188,15 +190,9 @@ def build_sequences(config: ExperimentConfig) -> tuple[NormSequence, list[NormSe
     spec = config.space_spec()
     for c in config.candidates:
         require_in_space(spec, c["s"])
-    # Maps fixing 1 take the closed-form orbit route, which needs no stored
-    # iterates, so their weight norms stream; other maps share one cache.
-    if op.phi.fixes_one():
-        cache = None
-        iterates = weight_iterates(op.w, op.phi, config.horizon, max_degree=config.max_degree)
-    else:
-        iterates = cache = op.build_cache(config.horizon, max_degree=config.max_degree)
-    weight_seq = weight_norm_sequence(iterates, spec)
-    orbits = [candidate_orbit(op, c, spec, config.degree, config.horizon, cache=cache)
+    weight_seq = weight_norm_sequence(
+        weight_iterates(op.w, op.phi, config.horizon, config.max_degree), spec)
+    orbits = [candidate_orbit(op, c, spec, config.degree, config.horizon, config.max_degree)
               for c in config.candidates]
     return weight_seq, orbits
 

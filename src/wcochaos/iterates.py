@@ -10,9 +10,8 @@ Horner passes over the closed-form coefficients of phi^n, a bounded chunk of
 n at a time.  Each product drops its trailing coefficients that are exactly
 zero: in the usual case 1 - phi(z) = alpha (1 - z) with |alpha| < 1 the
 high coefficients of w(n) underflow to 0.0, so a step costs O(nonzero
-width), not O(n).  ``weight_iterate_sequence`` stores the same trimmed
-iterates in a ``WeightIterateCache``, for the random access of
-``WeightedCompOp.apply_n``.
+width), not O(n).  ``weight_iterate_sequence`` stores the same pairs in a
+list, for callers that index them or read them twice.
 """
 
 from __future__ import annotations
@@ -21,53 +20,8 @@ from .series import AnalyticPoly, coeff_product, compose_affine_rows, trim_trail
 from .spaces import BLOCK_BYTES
 from .symbols import SelfMapSymbol, WeightSymbol
 
-__all__ = ["WeightIterateCache", "affine_compositions", "first_capped",
-           "weight_iterate_sequence", "weight_iterates"]
-
-
-class WeightIterateCache:
-    """Immutable store of weight iterates and symbol iterates up to a horizon.
-
-    Built only where ``WeightedCompOp.apply_n`` needs w(n) and phi^n by
-    index; sequential consumers stream ``weight_iterates`` instead.  For
-    affine symbols everything is exact: w(n) has degree n * deg w, stored
-    without the trailing coefficients that are exactly 0.0; with a
-    degree cap (mandatory for polynomial symbols) the stored coefficients are
-    exact partial sums and ``truncated`` records that the cap dropped a
-    nonzero coefficient, so that the sequence only bounds the true iterates
-    from below in coefficient norms.  Iterating the
-    cache yields (w(n), truncated) pairs, like ``weight_iterates``.
-    """
-
-    def __init__(self, w: WeightSymbol, phi: SelfMapSymbol, horizon: int,
-                 weights: list[AnalyticPoly], symbol_iterates: list[SelfMapSymbol],
-                 max_degree: int | None, truncated: bool):
-        self.w = w
-        self.phi = phi
-        self.horizon = horizon
-        self.max_degree = max_degree
-        self.truncated = truncated
-        self._weights = weights
-        self._symbols = symbol_iterates
-
-    def weight_iterate(self, n: int) -> AnalyticPoly:
-        """w(n) for 1 <= n <= horizon."""
-        if not 1 <= n <= self.horizon:
-            raise ValueError(f"weight iterate index {n} outside 1..{self.horizon}")
-        return self._weights[n - 1]
-
-    def symbol_iterate(self, n: int) -> SelfMapSymbol:
-        """phi^n for 0 <= n <= horizon."""
-        if not 0 <= n <= self.horizon:
-            raise ValueError(f"symbol iterate index {n} outside 0..{self.horizon}")
-        return self._symbols[n]
-
-    def __iter__(self):
-        for wn in self._weights:
-            yield wn, self.truncated
-
-    def __len__(self) -> int:
-        return self.horizon
+__all__ = ["affine_compositions", "first_capped", "weight_iterate_sequence",
+           "weight_iterates"]
 
 
 def _require_iterable(phi: SelfMapSymbol, horizon: int) -> None:
@@ -113,15 +67,13 @@ def affine_compositions(f: AnalyticPoly, phi: SelfMapSymbol, horizon: int):
         yield from chunk
 
 
-def _factors(w: AnalyticPoly, phi: SelfMapSymbol, horizon: int, max_degree: int | None,
-             symbols: list[SelfMapSymbol] | None = None):
+def _factors(w: AnalyticPoly, phi: SelfMapSymbol, horizon: int, max_degree: int | None):
     """Coefficients of w o phi^n for n = 1..horizon-1; a polynomial phi
-    composes into its capped iterates, taken from ``symbols`` when given."""
+    composes into its capped iterates."""
     if phi.kind == "affine":
         return affine_compositions(w, phi, horizon - 1)
-    if symbols is None:
-        symbols = phi.iterates(horizon, max_degree)
-    return (it.compose_into(w, max_degree=max_degree).coeffs for it in symbols[1:-1])
+    return (it.compose_into(w, max_degree=max_degree).coeffs
+            for it in phi.iterates(horizon, max_degree)[1:-1])
 
 
 def _steps(w: AnalyticPoly, factors, max_degree: int | None, capped_from: int):
@@ -153,20 +105,6 @@ def weight_iterates(w: WeightSymbol, phi: SelfMapSymbol, horizon: int,
 
 
 def weight_iterate_sequence(w: WeightSymbol, phi: SelfMapSymbol, horizon: int,
-                            max_degree: int | None = None) -> WeightIterateCache:
-    """Store w(1)..w(horizon) and phi^0..phi^horizon for a validated self-map.
-
-    Affine symbols run uncapped by default (the degree grows linearly);
-    polynomial symbols require max_degree because their composition degree
-    grows geometrically, and the result is marked truncated once the cap
-    drops a nonzero coefficient of some w(n).
-    """
-    _require_iterable(phi, horizon)
-    symbols = phi.iterates(horizon, max_degree)
-    wp = w.poly.trimmed()
-    steps = list(_steps(wp, _factors(wp, phi, horizon, max_degree, symbols), max_degree,
-                        first_capped(w, phi, horizon, max_degree)))
-    return WeightIterateCache(w=w, phi=phi, horizon=horizon,
-                              weights=[wn for wn, _ in steps],
-                              symbol_iterates=symbols, max_degree=max_degree,
-                              truncated=steps[-1][1])
+                            max_degree: int | None = None) -> list[tuple[AnalyticPoly, bool]]:
+    """The pairs of ``weight_iterates``, stored: w(n) is entry n - 1."""
+    return list(weight_iterates(w, phi, horizon, max_degree))

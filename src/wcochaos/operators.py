@@ -2,10 +2,9 @@
 
 T f = w * (f o phi).  Powers are never applied step by step: the iterate
 identity T^n f = w(n) * (f o phi^n) gives every orbit element from one
-composition and one multiplication.  Weight norms need no stored iterates:
-``weight_norm_sequence`` reads each w(n) once, in order, from a stream, and
-only ``orbit_norm_sequence`` of a fixed polynomial indexes a
-``WeightIterateCache``.
+composition and one multiplication.  Nothing stores the iterates: weight
+norms and fixed-polynomial orbits read each w(n) once, in order, from the
+stream ``iterates.weight_iterates``.
 
 Two orbit routines are provided.  ``orbit_norm_sequence`` follows a fixed
 polynomial through the iterate identity.  ``eigen_orbit_norm_sequence``
@@ -32,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .iterates import (WeightIterateCache, affine_compositions, first_capped,
-                       weight_iterate_sequence)
+from .iterates import affine_compositions, first_capped, weight_iterates
 from .series import AnalyticPoly, coeff_product, binomial_series, trim_trailing_zeros
 from .spaces import SpaceSpec, require_in_space, space_norms, space_provenance
 from .symbols import SelfMapSymbol, WeightSymbol
@@ -58,26 +56,28 @@ class WeightedCompOp:
         if not self.phi.validated:
             raise ValueError("self-map must pass validate_self_map first")
 
-    def build_cache(self, horizon: int, max_degree: int | None = None) -> WeightIterateCache:
-        return weight_iterate_sequence(self.w, self.phi, horizon, max_degree=max_degree)
-
     def apply(self, f: AnalyticPoly, max_degree: int | None = None) -> AnalyticPoly:
         """Single application w * (f o phi)."""
         return self.w.poly * self.phi.compose_into(f, max_degree=max_degree)
 
-    def apply_n(self, f: AnalyticPoly, n: int, cache: WeightIterateCache) -> AnalyticPoly:
-        """n-th power via the iterate identity T^n f = w(n) * (f o phi^n)."""
+    def apply_n(self, f: AnalyticPoly, n: int, max_degree: int | None = None) -> AnalyticPoly:
+        """n-th power via the iterate identity T^n f = w(n) * (f o phi^n),
+        with w(n) and phi^n built for this n; a polynomial phi needs
+        ``max_degree``, which also caps the result."""
         if n < 0:
             raise ValueError("power must be nonnegative")
         if n == 0:
             return f
-        if n > cache.horizon:
-            raise ValueError(f"power {n} beyond cache horizon {cache.horizon}")
-        comp = cache.symbol_iterate(n).compose_into(f, max_degree=cache.max_degree)
-        out = cache.weight_iterate(n) * comp
-        if cache.max_degree is not None:
-            out = out.truncated(cache.max_degree)
-        return out
+        for wn, _ in weight_iterates(self.w, self.phi, n, max_degree):
+            pass  # the stream ends at w(n)
+        return _power(wn, self.phi.iterate(n, max_degree), f, max_degree)
+
+
+def _power(wn: AnalyticPoly, phi_n: SelfMapSymbol, f: AnalyticPoly,
+           max_degree: int | None) -> AnalyticPoly:
+    """w(n) * (f o phi^n), capped at ``max_degree`` when one is given."""
+    out = wn * phi_n.compose_into(f, max_degree=max_degree)
+    return out if max_degree is None else out.truncated(max_degree)
 
 
 @dataclass(frozen=True)
@@ -150,10 +150,10 @@ def weight_norm_sequence(iterates: Iterable[tuple[AnalyticPoly, bool]],
                          spec: SpaceSpec) -> NormSequence:
     """Norms of the weight iterates; equals the orbit of the constant 1.
 
-    ``iterates`` yields (w(n), truncated) pairs in order: a stream from
-    ``iterates.weight_iterates`` or a ``WeightIterateCache``.  Each
-    w(n) is read once, into the blocks of ``spaces.space_norms``, and the
-    last flag holds for the whole sequence.
+    ``iterates`` yields (w(n), truncated) pairs in order, as
+    ``iterates.weight_iterates`` does.  Each w(n) is read once, into the
+    blocks of ``spaces.space_norms``, and the last flag holds for the whole
+    sequence.
     """
     truncated = False
 
@@ -169,18 +169,18 @@ def weight_norm_sequence(iterates: Iterable[tuple[AnalyticPoly, bool]],
 
 
 def orbit_norm_sequence(op: WeightedCompOp, f: AnalyticPoly, spec: SpaceSpec,
-                        horizon: int, cache: WeightIterateCache | None = None) -> NormSequence:
-    """Norms of T^n f for n = 1..horizon via the iterate identity."""
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if cache is None:
-        cache = op.build_cache(horizon)
-    if cache.horizon < horizon:
-        raise ValueError("cache horizon too small for requested orbit")
-    lower, upper = space_norms((op.apply_n(f, n, cache).coeffs
-                                for n in range(1, horizon + 1)), spec)
+                        horizon: int, max_degree: int | None = None) -> NormSequence:
+    """Norms of T^n f for n = 1..horizon via the iterate identity.
+
+    Each w(n) comes from the stream and is dropped after its step; every
+    element is capped as in ``WeightedCompOp.apply_n``.
+    """
+    steps = zip(weight_iterates(op.w, op.phi, horizon, max_degree),
+                op.phi.iterates(horizon, max_degree)[1:])
+    lower, upper = space_norms((_power(wn, phi_n, f, max_degree).coeffs
+                                for (wn, _), phi_n in steps), spec)
     degree = f.trimmed().degree
-    truncated = first_capped(op.w, op.phi, horizon, cache.max_degree, degree) <= horizon
+    truncated = first_capped(op.w, op.phi, horizon, max_degree, degree) <= horizon
     return NormSequence(values=lower, upper=upper, space=spec,
                         provenance=space_provenance(spec, truncated),
                         label=f"orbit deg={degree}", truncated=truncated)

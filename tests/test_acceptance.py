@@ -11,6 +11,7 @@ from wcochaos.chaos import (certify_li_yorke, certify_mean_li_yorke,
                             eigen_residual, fit_window, growth_rate_fit,
                             sequence_stats)
 from wcochaos.experiments import ExperimentConfig, run_classify
+from wcochaos.iterates import weight_iterate_sequence, weight_iterates
 from wcochaos.operators import (NormSequence, WeightedCompOp,
                                 eigen_orbit_norm_sequence, orbit_norm_sequence,
                                 weight_norm_sequence)
@@ -65,12 +66,11 @@ def test_criterion_2_iterate_identity():
     for i in range(15):
         op = make_op(rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3),
                      rng.uniform(0.1, 0.9))
-        cache = op.build_cache(12)
         f = random_poly(rng, 16)
         seq = f
         for n in range(1, 13):
             seq = op.apply(seq)
-            closed = op.apply_n(f, n, cache)
+            closed = op.apply_n(f, n)
             m = max(len(closed.coeffs), len(seq.coeffs))
             gap = float(np.max(np.abs(closed.padded(m) - seq.padded(m))))
             scale = 1.0 + float(np.max(np.abs(seq.coeffs)))
@@ -87,10 +87,9 @@ def test_criterion_3_norm_domination_inequalities():
         a = rng.uniform(0.1, 0.9)
         op = make_op(rng.uniform(-1, 1, 3), a)
         n = int(rng.integers(1, 6))
-        cache = op.build_cache(n)
         f = random_poly(rng, 8)
-        tf = op.apply_n(f, n, cache)
-        wn = cache.weight_iterate(n)
+        tf = op.apply_n(f, n)
+        wn = weight_iterate_sequence(op.w, op.phi, n)[-1][0]
         f_sup_upper = f.coeff_abs_sum()
         for p in (1, 2, 3):
             if quad_norm_hp(tf, p) > quad_norm_hp(wn, p) * f_sup_upper * slack:
@@ -102,9 +101,9 @@ def test_criterion_3_norm_domination_inequalities():
                 failures.append(("bergman", i, p, beta))
         # sup-space identity: contraction for normalized f, equality at f = 1
         g = (1.0 / f_sup_upper) * f
-        if op.apply_n(g, n, cache).coeff_abs_sum() > wn.coeff_abs_sum() * slack:
+        if op.apply_n(g, n).coeff_abs_sum() > wn.coeff_abs_sum() * slack:
             failures.append(("sup-contraction", i))
-        if op.apply_n(AnalyticPoly.one(), n, cache).coeff_abs_sum() != wn.coeff_abs_sum():
+        if op.apply_n(AnalyticPoly.one(), n).coeff_abs_sum() != wn.coeff_abs_sum():
             failures.append(("sup-attainment", i))
     report("criterion 3 (norm domination inequalities)", failures)
 
@@ -148,9 +147,8 @@ def test_criterion_6_controls():
     phi = SelfMapSymbol.rotation(np.pi / 3)
     assert validate_self_map(phi)
     op = WeightedCompOp(WeightSymbol.from_coeffs([1.0]), phi)
-    cache = op.build_cache(200)
-    ws = weight_norm_sequence(cache, Hardy(2))
-    orbit = orbit_norm_sequence(op, binomial_series(-0.4, 256), Hardy(2), 200, cache=cache)
+    ws = weight_norm_sequence(weight_iterates(op.w, op.phi, 200), Hardy(2))
+    orbit = orbit_norm_sequence(op, binomial_series(-0.4, 256), Hardy(2), 200)
     li = certify_li_yorke(ws, [orbit])
     mean = certify_mean_li_yorke(ws, [orbit])
     if li.kind != "NO_EVIDENCE":
@@ -185,8 +183,7 @@ def test_criterion_7_unweighted_counterexample():
     target = np.log(2.0 ** (1.0 / 12.0))
     if abs(rate - target) > 0.2 * target:
         failures.append(("growth-rate", rate))
-    cache = op.build_cache(horizon)
-    ws = weight_norm_sequence(cache, Hardy(2))
+    ws = weight_norm_sequence(weight_iterates(op.w, op.phi, horizon), Hardy(2))
     if not np.all(ws.values == 1.0):
         failures.append(("weight-not-constant",))
     report("criterion 7 (unweighted counterexample)", failures,
@@ -196,10 +193,9 @@ def test_criterion_7_unweighted_counterexample():
 def test_criterion_8_sup_norm_sequence():
     failures = []
     op = make_op([0, 0.6], 0.5)
-    cache = op.build_cache(50)
     w_sup_upper = op.w.sup_upper  # = 0.6 exactly for this weight
-    for n in range(1, 51):
-        lower, upper = sup_norm_bracket(cache.weight_iterate(n))
+    for n, (wn, _) in enumerate(weight_iterates(op.w, op.phi, 50), start=1):
+        lower, upper = sup_norm_bracket(wn)
         if abs(lower - 0.6**n) > 1e-9 * 0.6**n:
             failures.append(("lower", n, lower))
         if upper > (w_sup_upper**n) * (1 + 1e-9):

@@ -1,11 +1,14 @@
 """Sequence statistics, witnesses, certificates, growth fits, eigen residuals."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from wcochaos.chaos import (certify_li_yorke, certify_mean_li_yorke,
                             decay_window, eigen_residual, fit_window,
                             growth_rate_fit, sequence_stats)
+from wcochaos.iterates import weight_iterates
 from wcochaos.operators import (NormSequence, WeightedCompOp,
                                 eigen_orbit_norm_sequence, orbit_norm_sequence,
                                 weight_norm_sequence)
@@ -47,6 +50,14 @@ class TestSequenceStats:
         with pytest.raises(ValueError):
             sequence_stats(np.array([]))
 
+    def test_overflowing_sum_reads_inf_without_a_warning(self):
+        # The output steps refuse the inf with a clear error; numpy's
+        # overflow warning would only print ahead of it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            st = sequence_stats([1e308, 1e308])
+        assert st.cesaro[0] == 1e308 and st.cesaro[1] == np.inf
+
 
 class TestIrregularWitness:
     """The decay/growth witness pair that certify_li_yorke reports."""
@@ -77,17 +88,15 @@ class TestCertifyLiYorke:
         phi = SelfMapSymbol.rotation(np.pi / 3)
         assert validate_self_map(phi)
         op = WeightedCompOp(WeightSymbol.from_coeffs([1.0]), phi)
-        cache = op.build_cache(200)
-        ws = weight_norm_sequence(cache, Hardy(2))
-        orbit = orbit_norm_sequence(op, binomial_series(-0.4, 64), Hardy(2), 200, cache=cache)
+        ws = weight_norm_sequence(weight_iterates(op.w, op.phi, 200), Hardy(2))
+        orbit = orbit_norm_sequence(op, binomial_series(-0.4, 64), Hardy(2), 200)
         verdict = certify_li_yorke(ws, [orbit])
         assert verdict.kind == "NO_EVIDENCE"
         assert verdict.decay is None and verdict.growth is None
 
     def test_weighted_eigen_family_yields_evidence(self):
         op = make_op([0, 0.9], 0.25)
-        cache = op.build_cache(500)
-        ws = weight_norm_sequence(cache, Hardy(2))
+        ws = weight_norm_sequence(weight_iterates(op.w, op.phi, 500), Hardy(2))
         orbit = eigen_orbit_norm_sequence(op, -0.4, 1024, Hardy(2), 500)
         # frozen crossing indices from a direct run of both sequences
         assert int(np.argmax(ws.values < 1e-10)) + 1 == 216
@@ -101,8 +110,7 @@ class TestCertifyLiYorke:
         # lam = 0.6 < sqrt(0.5): the weight norms vanish but the candidate
         # orbit decays (rate 0.6 * 2^0.4 < 1), so growth never fires
         op = make_op([0, 0.6], 0.5)
-        cache = op.build_cache(500)
-        ws = weight_norm_sequence(cache, Hardy(2))
+        ws = weight_norm_sequence(weight_iterates(op.w, op.phi, 500), Hardy(2))
         orbit = eigen_orbit_norm_sequence(op, -0.4, 1024, Hardy(2), 500)
         verdict = certify_li_yorke(ws, [orbit])
         assert verdict.kind == "INCONCLUSIVE"
@@ -229,8 +237,7 @@ class TestCertifyMeanLiYorke:
 
     def test_weighted_eigen_family_yields_mean_evidence(self):
         op = make_op([0, 0.9], 0.25)
-        cache = op.build_cache(500)
-        ws = weight_norm_sequence(cache, Hardy(2))
+        ws = weight_norm_sequence(weight_iterates(op.w, op.phi, 500), Hardy(2))
         orbit = eigen_orbit_norm_sequence(op, -0.4, 1024, Hardy(2), 500)
         verdict = certify_mean_li_yorke(ws, [orbit])
         assert verdict.kind == "MEAN_LI_YORKE_EVIDENCE"
@@ -255,8 +262,7 @@ class TestCertifyMeanLiYorke:
 
     def test_subcritical_family_inconclusive(self):
         op = make_op([0, 0.6], 0.5)
-        cache = op.build_cache(400)
-        ws = weight_norm_sequence(cache, Hardy(2))
+        ws = weight_norm_sequence(weight_iterates(op.w, op.phi, 400), Hardy(2))
         orbit = eigen_orbit_norm_sequence(op, -0.4, 512, Hardy(2), 400)
         verdict = certify_mean_li_yorke(ws, [orbit])
         assert verdict.kind == "INCONCLUSIVE"

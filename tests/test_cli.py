@@ -6,16 +6,21 @@ import json
 import numpy as np
 import pytest
 
-from wcochaos import experiments
+from wcochaos import cli, experiments, iterates, operators
 from wcochaos.cli import main
 from wcochaos.experiments import ExperimentConfig, parse_candidate, parse_weight
-from wcochaos.operators import WeightedCompOp
 from wcochaos.series import AnalyticPoly
 
 
 def read_csv(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+def refuse_iterates(monkeypatch, no_work):
+    """Route every stream of weight iterates in the package to ``no_work``."""
+    for module in (cli, experiments, iterates, operators):
+        monkeypatch.setattr(module, "weight_iterates", no_work)
 
 
 class TestParsing:
@@ -92,9 +97,9 @@ class TestOrbitCommand:
 
     def test_candidate_refused_before_the_iterate_cache(self, monkeypatch, capsys):
         def no_work(*args, **kwargs):
-            raise AssertionError("the iterate cache was built before the membership check")
+            raise AssertionError("weight iterates were built before the membership check")
 
-        monkeypatch.setattr(WeightedCompOp, "build_cache", no_work)
+        refuse_iterates(monkeypatch, no_work)
         rc = main(["orbit", "--w", "0.9*z", "--phi-poly", "0.5,0.5", "--max-degree", "64",
                    "--space", "h3", "--horizon", "30", "--candidates", "s=-0.4"])
         assert rc == 2
@@ -147,7 +152,7 @@ class TestClassifyCommand:
             raise AssertionError("a sequence was built before the membership check")
 
         monkeypatch.setattr(experiments, "weight_norm_sequence", no_work)
-        monkeypatch.setattr(WeightedCompOp, "build_cache", no_work)
+        refuse_iterates(monkeypatch, no_work)
         config = ExperimentConfig(weight="0.9*z", phi_affine=0.25, space="bergman:3:0.5",
                                   degree=256, horizon=40,
                                   candidates=[{"s": 0.2, "k": 0}, {"s": -0.9, "k": 0}])

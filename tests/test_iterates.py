@@ -1,4 +1,4 @@
-"""Weight iterate cache: recurrence, consistency, bounds."""
+"""Weight iterates: recurrence, consistency, bounds."""
 
 import numpy as np
 import pytest
@@ -21,32 +21,38 @@ def validated(a):
     return phi
 
 
+def stored(w, phi, horizon, max_degree=None):
+    """{n: w(n)} for n = 1..horizon, from the stored pairs."""
+    pairs = weight_iterate_sequence(w, phi, horizon, max_degree)
+    return {n: wn for n, (wn, _) in enumerate(pairs, start=1)}
+
+
 def test_constant_weight_stays_one():
-    cache = weight_iterate_sequence(WeightSymbol.from_coeffs([1.0]), validated(0.5), 20)
+    iterates = stored(WeightSymbol.from_coeffs([1.0]), validated(0.5), 20)
     for n in range(1, 21):
-        assert cache.weight_iterate(n) == AnalyticPoly.one()
+        assert iterates[n] == AnalyticPoly.one()
 
 
 def test_first_iterate_is_the_weight():
     w = WeightSymbol.from_coeffs([0.2, 0.5, -0.1])
-    cache = weight_iterate_sequence(w, validated(0.3), 5)
-    assert cache.weight_iterate(1) == w.poly
+    iterates = stored(w, validated(0.3), 5)
+    assert iterates[1] == w.poly
 
 
 def test_second_iterate_formula():
     # (w o phi) * w with w = lam z and phi = a z + 1 - a expands to
     # lam^2 z (a z + 1 - a).
     lam, a = 0.7, 0.3
-    cache = weight_iterate_sequence(WeightSymbol.from_coeffs([0, lam]), validated(a), 2)
+    iterates = stored(WeightSymbol.from_coeffs([0, lam]), validated(a), 2)
     expected = (lam * lam) * (AnalyticPoly([0, 1]) * AnalyticPoly([1 - a, a]))
-    assert gap(cache.weight_iterate(2), expected) <= 1e-15
+    assert gap(iterates[2], expected) <= 1e-15
 
 
 def test_degree_grows_linearly_for_affine():
     w = WeightSymbol.from_coeffs([0.1, 0.2, 0.3])
-    cache = weight_iterate_sequence(w, validated(0.4), 12)
+    iterates = stored(w, validated(0.4), 12)
     for n in (1, 5, 12):
-        assert cache.weight_iterate(n).trimmed().degree == 2 * n
+        assert iterates[n].trimmed().degree == 2 * n
 
 
 def test_multiplicative_consistency():
@@ -54,13 +60,13 @@ def test_multiplicative_consistency():
     rng = np.random.default_rng(11)
     w = WeightSymbol.from_coeffs(rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3))
     phi = validated(0.3)
-    cache = weight_iterate_sequence(w, phi, 20)
+    iterates = stored(w, phi, 20)
     for m in (1, 3, 7, 10):
         for n in (1, 4, 10):
             it = phi.iterate(m)
-            shifted = compose_affine(cache.weight_iterate(n), it.alpha, it.gamma)
-            lhs = cache.weight_iterate(m + n)
-            rhs = cache.weight_iterate(m) * shifted
+            shifted = compose_affine(iterates[n], it.alpha, it.gamma)
+            lhs = iterates[m + n]
+            rhs = iterates[m] * shifted
             scale = 1.0 + float(np.max(np.abs(rhs.coeffs)))
             assert gap(lhs, rhs) <= 1e-12 * scale
 
@@ -72,18 +78,18 @@ def test_sup_upper_bracket_is_submultiplicative():
     for _ in range(10):
         a = rng.uniform(0.1, 0.9)
         w = WeightSymbol.from_coeffs(rng.uniform(-1, 1, 3))
-        cache = weight_iterate_sequence(w, validated(a), 30)
+        iterates = stored(w, validated(a), 30)
         for n in range(1, 31):
-            upper = cache.weight_iterate(n).coeff_abs_sum()
+            upper = iterates[n].coeff_abs_sum()
             assert upper <= (w.sup_upper**n) * (1 + 1e-9)
 
 
 def test_boundary_value_at_one_is_lambda_power():
     # every factor of w(n) equals 1 at z = 1 except the lam z factors
     lam, a = 0.6, 0.5
-    cache = weight_iterate_sequence(WeightSymbol.from_coeffs([0, lam]), validated(a), 40)
+    iterates = stored(WeightSymbol.from_coeffs([0, lam]), validated(a), 40)
     for n in (1, 7, 23, 40):
-        val = abs(cache.weight_iterate(n)(1.0))
+        val = abs(iterates[n](1.0))
         assert val == pytest.approx(lam**n, rel=1e-12)
 
 
@@ -102,9 +108,9 @@ def test_capped_run_records_truncation():
     w = WeightSymbol.from_coeffs([0, 0.5])
     full = weight_iterate_sequence(w, validated(0.5), 10)
     capped = weight_iterate_sequence(w, validated(0.5), 10, max_degree=3)
-    assert capped.truncated and not full.truncated
-    for n in range(1, 11):
-        assert capped.weight_iterate(n) == full.weight_iterate(n).truncated(3)
+    assert capped[-1][1] and not full[-1][1]
+    for (cn, _), (fn, _) in zip(capped, full):
+        assert cn == fn.truncated(3)
 
 
 def test_polynomial_symbol_requires_cap_and_flags():
@@ -114,11 +120,11 @@ def test_polynomial_symbol_requires_cap_and_flags():
     with pytest.raises(ValueError):
         weight_iterate_sequence(w, phi, 4)
     # deg w(n) = 2^n - 1: 15 at n = 4 stays below the cap, 63 at n = 6 passes it.
-    assert not weight_iterate_sequence(w, phi, 4, max_degree=40).truncated
-    cache = weight_iterate_sequence(w, phi, 6, max_degree=40)
-    assert cache.truncated
+    assert not weight_iterate_sequence(w, phi, 4, max_degree=40)[-1][1]
+    pairs = weight_iterate_sequence(w, phi, 6, max_degree=40)
+    assert pairs[-1][1]
     # w(2) = (w o phi) * w = 0.8 z^2 * z = 0.8 z^3, below the cap hence exact
-    assert cache.weight_iterate(2) == AnalyticPoly.monomial(3, 0.8)
+    assert pairs[1][0] == AnalyticPoly.monomial(3, 0.8)
 
 
 def test_first_capped_follows_exact_degrees():
@@ -143,10 +149,9 @@ def test_orbit_flag_counts_the_vector_degree():
     phi = SelfMapSymbol.polynomial(AnalyticPoly([0.3, 0, 0.5]))
     assert validate_self_map(phi)
     op = WeightedCompOp(WeightSymbol.from_coeffs([0, 0.9]), phi)
-    cache = op.build_cache(4, max_degree=16)
-    assert not cache.truncated
-    assert not orbit_norm_sequence(op, AnalyticPoly.one(), Hardy(2), 4, cache=cache).truncated
-    cut = orbit_norm_sequence(op, AnalyticPoly.monomial(3), Hardy(2), 4, cache=cache)
+    assert not weight_iterate_sequence(op.w, phi, 4, max_degree=16)[-1][1]
+    assert not orbit_norm_sequence(op, AnalyticPoly.one(), Hardy(2), 4, 16).truncated
+    cut = orbit_norm_sequence(op, AnalyticPoly.monomial(3), Hardy(2), 4, 16)
     assert cut.truncated and cut.provenance == "bracket-lower"
 
 
@@ -154,19 +159,7 @@ def test_capped_polynomial_iterates_are_exact_partial_sums():
     # phi = 0.3 + 0.5 z^2: the exact phi^3 starts 0.3595125 + 0.05175 z^2 + ...
     phi = SelfMapSymbol.polynomial(AnalyticPoly([0.3, 0, 0.5]))
     assert validate_self_map(phi)
-    cache = weight_iterate_sequence(WeightSymbol.from_coeffs([1.0]), phi, 3, max_degree=2)
-    for it in (phi.iterate(3, max_degree=2), cache.symbol_iterate(3)):
+    for it in (phi.iterate(3, max_degree=2), phi.iterates(3, max_degree=2)[3]):
         assert it.approximate
         assert np.allclose(it.poly.coeffs, [0.3595125, 0, 0.05175], rtol=0, atol=1e-15)
 
-
-def test_index_bounds():
-    cache = weight_iterate_sequence(WeightSymbol.from_coeffs([1.0]), validated(0.5), 3)
-    with pytest.raises(ValueError):
-        cache.weight_iterate(0)
-    with pytest.raises(ValueError):
-        cache.weight_iterate(4)
-    with pytest.raises(ValueError):
-        cache.symbol_iterate(-1)
-    assert cache.symbol_iterate(0).alpha == 1.0
-    assert len(cache) == 3

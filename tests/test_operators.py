@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from wcochaos.iterates import weight_iterate_sequence, weight_iterates
 from wcochaos.series import AnalyticPoly, binomial_series
 from wcochaos.symbols import SelfMapSymbol, WeightSymbol, affine_fixing_one, validate_self_map
 from wcochaos.operators import (NormSequence, WeightedCompOp,
                                 eigen_orbit_norm_sequence, orbit_norm_sequence,
                                 weight_norm_sequence)
-from wcochaos.spaces import Bergman, Hardy, SupSpace, quad_norm_bergman_p, quad_norm_hp
+from wcochaos.spaces import (Bergman, Hardy, SupSpace, coeff_norm_h2, quad_norm_bergman_p,
+                             quad_norm_hp)
 
 
 def gap(f, g):
@@ -22,40 +24,55 @@ def make_op(w_coeffs, a):
     return WeightedCompOp(WeightSymbol.from_coeffs(w_coeffs), phi)
 
 
+def weights_by_n(op, horizon):
+    """{n: w(n)} for n = 1..horizon."""
+    pairs = weight_iterate_sequence(op.w, op.phi, horizon)
+    return {n: wn for n, (wn, _) in enumerate(pairs, start=1)}
+
+
 class TestApplyN:
     def test_plain_composition_when_weight_is_one(self):
         op = make_op([1.0], 0.5)
-        cache = op.build_cache(3)
         f = AnalyticPoly([1, 2, 3])
-        assert op.apply_n(f, 1, cache) == op.phi.compose_into(f)
+        assert op.apply_n(f, 1) == op.phi.compose_into(f)
 
     def test_constant_one_recovers_weight_iterates(self):
         op = make_op([0.3, 0.4], 0.25)
-        cache = op.build_cache(6)
+        weights = weights_by_n(op, 6)
         for n in (1, 3, 6):
-            assert op.apply_n(AnalyticPoly.one(), n, cache) == cache.weight_iterate(n)
+            assert op.apply_n(AnalyticPoly.one(), n) == weights[n]
 
     def test_eigen_relation_cubed(self):
         # (1 - z)^2 is an exact eigenvector of the unweighted operator with
         # a = 0.5: three applications scale it by 0.5^6 = 0.015625.
         op = make_op([1.0], 0.5)
-        cache = op.build_cache(3)
         f = AnalyticPoly([1, -1]) * AnalyticPoly([1, -1])
-        assert op.apply_n(f, 3, cache) == 0.015625 * f
+        assert op.apply_n(f, 3) == 0.015625 * f
 
     def test_zero_power_is_identity(self):
         op = make_op([0, 0.9], 0.25)
-        cache = op.build_cache(2)
         f = AnalyticPoly([1, 1j])
-        assert op.apply_n(f, 0, cache) is f
+        assert op.apply_n(f, 0) is f
 
     def test_power_bounds(self):
         op = make_op([0, 0.9], 0.25)
-        cache = op.build_cache(2)
         with pytest.raises(ValueError):
-            op.apply_n(AnalyticPoly.one(), 3, cache)
-        with pytest.raises(ValueError):
-            op.apply_n(AnalyticPoly.one(), -1, cache)
+            op.apply_n(AnalyticPoly.one(), -1)
+
+    def test_capped_power_is_the_orbit_element(self):
+        # A polynomial map needs a cap; under it, apply_n and the streamed
+        # orbit form each T^n f by the same arithmetic.
+        phi = SelfMapSymbol.polynomial(AnalyticPoly([0.3, 0, 0.5]))
+        assert validate_self_map(phi)
+        op = WeightedCompOp(WeightSymbol.from_coeffs([0, 0.9]), phi)
+        f = AnalyticPoly([1, -0.5, 0.25])
+        with pytest.raises(ValueError, match="degree cap"):
+            op.apply_n(f, 2)
+        seq = orbit_norm_sequence(op, f, Hardy(2), 7, max_degree=40)
+        for n in range(1, 8):
+            power = op.apply_n(f, n, max_degree=40)
+            assert power.trimmed().degree <= 40
+            assert seq.value(n) == coeff_norm_h2(power)
 
     def test_unvalidated_symbol_rejected(self):
         with pytest.raises(ValueError):
@@ -67,12 +84,11 @@ class TestApplyN:
             a = rng.uniform(0.1, 0.9)
             w = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
             op = make_op(w, a)
-            cache = op.build_cache(12)
             f = AnalyticPoly(rng.uniform(-1, 1, 17) + 1j * rng.uniform(-1, 1, 17))
             seq = f
             for n in range(1, 13):
                 seq = op.apply(seq)
-                closed = op.apply_n(f, n, cache)
+                closed = op.apply_n(f, n)
                 scale = 1.0 + float(np.max(np.abs(seq.coeffs)))
                 assert gap(closed, seq) <= 1e-12 * scale
 
@@ -84,26 +100,26 @@ class TestNormInequalities:
         rng = np.random.default_rng(43)
         for _ in range(12):
             op = make_op(rng.uniform(-1, 1, 3), rng.uniform(0.1, 0.9))
-            cache = op.build_cache(6)
+            weights = weights_by_n(op, 6)
             f = AnalyticPoly(rng.uniform(-1, 1, 9) + 1j * rng.uniform(-1, 1, 9))
             f_sup_upper = f.coeff_abs_sum()
             for p in (1, 2, 3):
                 for n in (1, 3, 6):
-                    lhs = quad_norm_hp(op.apply_n(f, n, cache), p)
-                    rhs = quad_norm_hp(cache.weight_iterate(n), p) * f_sup_upper
+                    lhs = quad_norm_hp(op.apply_n(f, n), p)
+                    rhs = quad_norm_hp(weights[n], p) * f_sup_upper
                     assert lhs <= rhs * (1 + 1e-9)
 
     def test_bergman_domination(self):
         rng = np.random.default_rng(47)
         for _ in range(8):
             op = make_op(rng.uniform(-1, 1, 3), rng.uniform(0.1, 0.9))
-            cache = op.build_cache(4)
+            weights = weights_by_n(op, 4)
             f = AnalyticPoly(rng.uniform(-1, 1, 7) + 1j * rng.uniform(-1, 1, 7))
             f_sup_upper = f.coeff_abs_sum()
             for p, beta in ((2, 0.0), (2, 1.0), (3, -0.5)):
                 for n in (1, 4):
-                    lhs = quad_norm_bergman_p(op.apply_n(f, n, cache), p, beta)
-                    rhs = quad_norm_bergman_p(cache.weight_iterate(n), p, beta) * f_sup_upper
+                    lhs = quad_norm_bergman_p(op.apply_n(f, n), p, beta)
+                    rhs = quad_norm_bergman_p(weights[n], p, beta) * f_sup_upper
                     assert lhs <= rhs * (1 + 1e-9)
 
     def test_sup_identity_attained_by_constant_one(self):
@@ -111,16 +127,16 @@ class TestNormInequalities:
         # for Wiener-contractive symbols, and f = 1 attains it exactly
         rng = np.random.default_rng(53)
         op = make_op(rng.uniform(-1, 1, 4), 0.35)
-        cache = op.build_cache(8)
+        weights = weights_by_n(op, 8)
         for _ in range(10):
             f = AnalyticPoly(rng.uniform(-1, 1, 6))
             f = (1.0 / f.coeff_abs_sum()) * f
             for n in (1, 4, 8):
-                upper = op.apply_n(f, n, cache).coeff_abs_sum()
-                assert upper <= cache.weight_iterate(n).coeff_abs_sum() * (1 + 1e-9)
+                upper = op.apply_n(f, n).coeff_abs_sum()
+                assert upper <= weights[n].coeff_abs_sum() * (1 + 1e-9)
         for n in (1, 4, 8):
-            attained = op.apply_n(AnalyticPoly.one(), n, cache).coeff_abs_sum()
-            assert attained == cache.weight_iterate(n).coeff_abs_sum()
+            attained = op.apply_n(AnalyticPoly.one(), n).coeff_abs_sum()
+            assert attained == weights[n].coeff_abs_sum()
 
 
 class TestOrbitSequences:
@@ -130,8 +146,6 @@ class TestOrbitSequences:
         op = WeightedCompOp(WeightSymbol.from_coeffs([1.0]), phi)
         f = AnalyticPoly([1, 2, 3])
         seq = orbit_norm_sequence(op, f, Hardy(2), 10)
-        from wcochaos.spaces import coeff_norm_h2
-
         assert np.allclose(seq.values, coeff_norm_h2(f), rtol=1e-14)
 
     def test_rotation_isometry_constant_orbit(self):
@@ -151,9 +165,8 @@ class TestOrbitSequences:
         # eigen_orbit_norm_sequence is the one that keeps growing.)
         op = make_op([0, 0.9], 0.25)
         horizon = 250
-        cache = op.build_cache(horizon)
         f = binomial_series(-0.4, 1024)
-        seq = orbit_norm_sequence(op, f, Hardy(2), horizon, cache=cache)
+        seq = orbit_norm_sequence(op, f, Hardy(2), horizon)
         v = seq.values
         assert int(np.argmax(v)) + 1 == 6
         assert v.max() / v[0] == pytest.approx(3.329, rel=1e-2)
@@ -162,41 +175,38 @@ class TestOrbitSequences:
 
     def test_weight_norm_sequence_is_orbit_of_one(self):
         op = make_op([0, 0.8, 0.1], 0.3)
-        cache = op.build_cache(15)
-        ws = weight_norm_sequence(cache, Hardy(2))
-        orbit_one = orbit_norm_sequence(op, AnalyticPoly.one(), Hardy(2), 15, cache=cache)
+        ws = weight_norm_sequence(weight_iterates(op.w, op.phi, 15), Hardy(2))
+        orbit_one = orbit_norm_sequence(op, AnalyticPoly.one(), Hardy(2), 15)
         assert np.array_equal(ws.values, orbit_one.values)
 
     def test_constant_weight_norm_sequence(self):
         op = make_op([1.0], 0.5)
-        cache = op.build_cache(10)
+        pairs = weight_iterate_sequence(op.w, op.phi, 10)
         for spec in (Hardy(2), Bergman(2, 1.0)):
-            seq = weight_norm_sequence(cache, spec)
+            seq = weight_norm_sequence(pairs, spec)
             assert np.allclose(seq.values, 1.0, rtol=1e-14)
 
     def test_sup_lower_sequence_is_exact_geometric(self):
         op = make_op([0, 0.6], 0.5)
-        cache = op.build_cache(60)
-        seq = weight_norm_sequence(cache, SupSpace())
+        seq = weight_norm_sequence(weight_iterates(op.w, op.phi, 60), SupSpace())
         expected = 0.6 ** np.arange(1, 61)
         for side in (seq.values, seq.upper):
             assert np.max(np.abs(side - expected) / expected) <= 1e-9
 
     def test_h2_weight_sequence_tracks_geometric_rate(self):
         op = make_op([0, 0.6], 0.5)
-        cache = op.build_cache(200)
-        seq = weight_norm_sequence(cache, Hardy(2))
+        seq = weight_norm_sequence(weight_iterates(op.w, op.phi, 200), Hardy(2))
         ratio = seq.values / 0.6 ** np.arange(1, 201)
         assert np.all(ratio <= 1 + 1e-12)
         assert ratio.min() > 0.55  # frozen: measured 0.586
 
     def test_provenance_tags(self):
         op = make_op([0, 0.9], 0.25)
-        cache = op.build_cache(5)
-        assert weight_norm_sequence(cache, Hardy(2)).provenance == "exact-coefficient"
-        assert weight_norm_sequence(cache, Hardy(1)).provenance == "quadrature"
-        assert weight_norm_sequence(cache, SupSpace()).provenance == "bracket-lower"
-        capped = op.build_cache(5, max_degree=2)
+        pairs = weight_iterate_sequence(op.w, op.phi, 5)
+        assert weight_norm_sequence(pairs, Hardy(2)).provenance == "exact-coefficient"
+        assert weight_norm_sequence(pairs, Hardy(1)).provenance == "quadrature"
+        assert weight_norm_sequence(pairs, SupSpace()).provenance == "bracket-lower"
+        capped = weight_iterates(op.w, op.phi, 5, max_degree=2)
         seq = weight_norm_sequence(capped, Hardy(2))
         assert seq.provenance == "bracket-lower" and seq.truncated
 
@@ -224,18 +234,16 @@ class TestEigenOrbit:
         # for integer s the candidate is an exact polynomial eigenvector, so
         # the closed form and the iterate identity must agree to rounding
         op = make_op([0, 0.7], 0.5)
-        cache = op.build_cache(10)
         for s in (1, 2):
             closed = eigen_orbit_norm_sequence(op, s, 8, Hardy(2), 10)
-            direct = orbit_norm_sequence(op, binomial_series(s, 8), Hardy(2), 10, cache=cache)
+            direct = orbit_norm_sequence(op, binomial_series(s, 8), Hardy(2), 10)
             assert np.allclose(closed.values, direct.values, rtol=1e-12)
 
     def test_matches_direct_route_with_monomial_factor(self):
         op = make_op([1.0], 0.5)
-        cache = op.build_cache(8)
         closed = eigen_orbit_norm_sequence(op, 2, 8, Hardy(2), 8, power=2)
         f = binomial_series(2, 8) * AnalyticPoly.monomial(2)
-        direct = orbit_norm_sequence(op, f, Hardy(2), 8, cache=cache)
+        direct = orbit_norm_sequence(op, f, Hardy(2), 8)
         assert np.allclose(closed.values, direct.values, rtol=1e-12)
 
     def test_growth_rate_is_weight_times_eigenvalue(self):

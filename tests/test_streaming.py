@@ -1,14 +1,15 @@
-"""Streamed weight iterates: no stored w(n) on the paths that read them in order."""
+"""Streamed weight iterates: no stored w(n) on any path that reads them in order."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from wcochaos import iterates, operators
+import wcochaos
+from wcochaos import cli, experiments, iterates, operators
 from wcochaos.cli import main
 from wcochaos.iterates import weight_iterate_sequence, weight_iterates
-from wcochaos.operators import WeightedCompOp, weight_norm_sequence
+from wcochaos.operators import WeightedCompOp, orbit_norm_sequence, weight_norm_sequence
 from wcochaos.series import AnalyticPoly
 from wcochaos.spaces import Hardy
 from wcochaos.symbols import SelfMapSymbol, WeightSymbol, affine_fixing_one, validate_self_map
@@ -23,18 +24,6 @@ def validated(a):
 
 
 class TestStream:
-    def test_stream_matches_the_cache(self):
-        w = WeightSymbol.from_coeffs([0.2, 0.5 - 0.1j, -0.1])
-        phi = validated(0.3)
-        cache = weight_iterate_sequence(w, phi, 25)
-        pairs = list(weight_iterates(w, phi, 25))
-        assert len(pairs) == 25
-        for n, (wn, truncated) in enumerate(pairs, start=1):
-            # The stream drops the trailing zeros the cache keeps: the same
-            # coefficients, bit for bit, in a shorter array.
-            assert wn == cache.weight_iterate(n) and wn.coeffs[-1] != 0
-            assert not truncated
-
     def test_truncated_turns_on_at_the_first_capped_iterate(self):
         # w = 0.5 z: w(n) has degree n, so the cap 3 first cuts w(4).
         flags = [t for _, t in weight_iterates(WeightSymbol.from_coeffs([0, 0.5]),
@@ -42,7 +31,7 @@ class TestStream:
         assert flags == [False, False, False, True, True, True]
         capped = weight_iterate_sequence(WeightSymbol.from_coeffs([0, 0.5]), validated(0.5),
                                          6, max_degree=3)
-        assert capped.truncated
+        assert capped[-1][1]
 
     def test_polynomial_symbols_are_truncated_once_the_cap_drops_terms(self):
         # deg w(n) = 2^n - 1 for w = z and phi = 0.8 z^2: 31 at n = 5, 63 at n = 6.
@@ -59,24 +48,27 @@ class TestStream:
         with pytest.raises(ValueError):
             weight_iterates(w, validated(0.5), 0)
 
-    def test_weight_norms_agree_for_stream_and_cache(self):
+    def test_weight_norms_agree_with_the_orbit_of_one(self):
+        # The weight norms and the orbit of f = 1 read two streams of w(n).
         phi = validated(0.25)
         op = WeightedCompOp(WeightSymbol.from_coeffs([0, 0.9]), phi)
         for max_degree in (None, 30):
-            streamed = weight_norm_sequence(weight_iterates(op.w, phi, 60, max_degree), Hardy(2))
-            stored = weight_norm_sequence(op.build_cache(60, max_degree), Hardy(2))
-            assert np.array_equal(streamed.values, stored.values)
-            assert streamed.truncated == stored.truncated == (max_degree is not None)
-            assert streamed.provenance == stored.provenance
+            weights = weight_norm_sequence(weight_iterates(op.w, phi, 60, max_degree), Hardy(2))
+            orbit = orbit_norm_sequence(op, AnalyticPoly.one(), Hardy(2), 60, max_degree)
+            assert np.array_equal(weights.values, orbit.values)
+            assert weights.truncated == orbit.truncated == (max_degree is not None)
+            assert weights.provenance == orbit.provenance
 
 
 def _no_cache(monkeypatch):
+    """Make every binding of the stored-iterate builder in the package raise."""
     def refuse(*args, **kwargs):
-        raise AssertionError("an iterate cache was built on a streaming path")
+        raise AssertionError("weight iterates were stored on a streaming path")
 
-    monkeypatch.setattr(WeightedCompOp, "build_cache", refuse)
-    monkeypatch.setattr(iterates, "weight_iterate_sequence", refuse)
-    monkeypatch.setattr(operators, "weight_iterate_sequence", refuse)
+    for module in (wcochaos, cli, experiments, iterates, operators):
+        for name, value in list(vars(module).items()):
+            if value is weight_iterate_sequence:
+                monkeypatch.setattr(module, name, refuse)
 
 
 SYMBOLS = ["--w", "0.9*z", "--phi-affine", "0.3"]
@@ -103,6 +95,22 @@ class TestNoCacheForMapsFixingOne:
         assert (tmp_path / "weights.csv").is_file()
 
 
+class TestNoCacheForOtherRuns:
+    """Fixed vectors and polynomial maps read the same streams."""
+
+    @pytest.mark.parametrize("argv", [
+        ["orbit", *SYMBOLS, "--poly-coeffs", "1,2,3", "--horizon", "80"],
+        ["orbit", "--w", "0.9*z", "--phi-poly", "0,0.5", "--max-degree", "64",
+         "--horizon", "60", "--candidates", "s=-0.3"],
+        ["classify", "--w", "1", "--phi-poly", "0.25,0.5,0.25", "--max-degree", "64",
+         "--horizon", "20", "--candidates", "s=-0.3"],
+    ], ids=["orbit-poly-coeffs", "orbit-phi-poly", "classify-phi-poly"])
+    def test_command_succeeds_without_a_cache(self, monkeypatch, tmp_path, argv):
+        _no_cache(monkeypatch)
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out").read_text()
+
+
 def _peak_mb(argv) -> float:
     tracemalloc.start()
     try:
@@ -115,26 +123,33 @@ def _peak_mb(argv) -> float:
 class TestMemory:
     """Stored iterates drop their exact-zero tails.  Under a = 0.9999 no
     coefficient of w(n) underflows by H = 2000, so the stored w(n) keep all
-    of theirs and take about 31 MB; under a = 0.3 they take about 2 MB."""
+    of theirs and take about 31 MB; under a = 0.3 they take about 2 MB.
+    Streams hold one w(n) at a time whatever the map."""
 
     def test_stored_iterates_would_show(self):
-        op = WeightedCompOp(WeightSymbol.from_coeffs([0, 0.9]), validated(0.9999))
         tracemalloc.start()
         try:
-            cache = op.build_cache(2000)
+            pairs = weight_iterate_sequence(WeightSymbol.from_coeffs([0, 0.9]),
+                                            validated(0.9999), 2000)
             peak = tracemalloc.get_traced_memory()[1] / MB
         finally:
             tracemalloc.stop()
-        assert len(cache) == 2000 and peak > 20
-        assert len(cache.weight_iterate(2000).coeffs) == 2001
+        assert len(pairs) == 2000 and peak > 20
+        assert len(pairs[-1][0].coeffs) == 2001
 
     def test_stored_iterates_are_trimmed(self):
-        op = WeightedCompOp(WeightSymbol.from_coeffs([0, 0.9]), validated(0.3))
-        cache = op.build_cache(2000)
-        stored = sum(cache.weight_iterate(n).coeffs.nbytes for n in range(1, 2001)) / MB
-        assert stored < 4
-        for n, (wn, _) in enumerate(weight_iterates(op.w, op.phi, 2000), start=1):
-            assert np.array_equal(cache.weight_iterate(n).coeffs, wn.coeffs)
+        pairs = weight_iterate_sequence(WeightSymbol.from_coeffs([0, 0.9]), validated(0.3), 2000)
+        assert sum(wn.coeffs.nbytes for wn, _ in pairs) / MB < 4
+
+    def test_orbit_peak(self):
+        op = WeightedCompOp(WeightSymbol.from_coeffs([0, 0.9]), validated(0.9999))
+        tracemalloc.start()
+        try:
+            seq = orbit_norm_sequence(op, AnalyticPoly([1, 2, 3]), Hardy(2), 2000)
+            peak = tracemalloc.get_traced_memory()[1] / MB
+        finally:
+            tracemalloc.stop()
+        assert len(seq) == 2000 and peak < 4
 
     def test_weights_peak(self, tmp_path):
         peak = _peak_mb(["weights", *SYMBOLS, "--space", "h2", "--horizon", "2000",
