@@ -11,7 +11,8 @@ certificates refuse weight sequences computed from capped arithmetic.  A
 growth claim compares max v_n with the bar G*v_1, so it needs a lower bound
 above and an upper bound below: it reads the maximum (or Cesaro mean) of
 the lower side against G times the upper side's first value, and an orbit
-computed under a degree cap takes no part in it.  Outside H^inf both sides
+computed under a degree cap (or given as None in its place) takes no part
+in it; the citation names every orbit so skipped.  Outside H^inf both sides
 are the same exact-coefficient or quadrature values; in H^inf they are the
 boundary-grid maximum and the coefficient absolute sum.
 """
@@ -203,7 +204,8 @@ def _certify(evidence: str, weight_seq: NormSequence, orbit_seqs, epsilon: float
     """Both certificates; ``evidence`` names the one to run.
 
     Decay reads the upper side of the weight norms, growth the lower side of
-    each channel against G times the upper side of its first value.
+    each channel against G times the upper side of its first value.  An
+    orbit that is None or truncated is skipped, and the citation says so.
     """
     _check_thresholds(epsilon, growth_factor)
     if weight_seq.truncated:
@@ -213,8 +215,9 @@ def _certify(evidence: str, weight_seq: NormSequence, orbit_seqs, epsilon: float
     # A capped orbit's v_1 is a partial sum below the true norm, so the bar
     # G * v_1 proves nothing: such an orbit takes no part in the growth scan.
     # The Cesaro mean A_1 is v_1, so both certificates share the bar.
-    channels = [None if isinstance(seq, NormSequence) and seq.truncated
+    channels = [None if seq is None or isinstance(seq, NormSequence) and seq.truncated
                 else (_values(seq), _upper(seq)[0]) for seq in (weight_seq, *orbit_seqs)]
+    skipped = [str(i - 1) for i, c in enumerate(channels) if c is None]
     if evidence == KIND_MEAN_LI_YORKE:
         lo, hi = decay_window(len(wu))
         decay_index, decay_value = lo, float(np.mean(wu[lo - 1 : hi]))
@@ -231,6 +234,9 @@ def _certify(evidence: str, weight_seq: NormSequence, orbit_seqs, epsilon: float
     else:
         kind = KIND_INCONCLUSIVE if decay or growth else KIND_NONE
         citation = citations["decay" if decay else "growth" if growth else "none"]
+    if skipped:
+        citation += (f"; {'orbits' if len(skipped) > 1 else 'orbit'} {', '.join(skipped)} "
+                     "not scanned: computed under the degree cap")
     return ChaosVerdict(kind=kind, citation=citation, decay=decay, growth=growth,
                         epsilon=epsilon, growth_factor=growth_factor, horizon=len(wu))
 

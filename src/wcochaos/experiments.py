@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 
 from .series import AnalyticPoly, binomial_series
-from .iterates import weight_iterates
+from .iterates import first_capped, weight_iterates
 from .symbols import SelfMapSymbol, WeightSymbol, affine_fixing_one, validate_self_map
 from .spaces import SpaceSpec, parse_space, require_in_space
 from .operators import (WeightedCompOp, NormSequence, orbit_norm_sequence,
@@ -150,8 +150,8 @@ def build_operator(config: ExperimentConfig) -> WeightedCompOp:
     else:
         raise ValueError("config must set phi_affine or phi_poly")
     if not validate_self_map(phi):
-        raise ValueError("self-map validation failed: the symbol does not map "
-                         "the disk into itself (boundary-grid check)")
+        raise ValueError("self-map validation failed: sup |phi| on the circle is not "
+                         "proven at most 1")
     return WeightedCompOp(w, phi)
 
 
@@ -172,6 +172,16 @@ def candidate_orbit(op: WeightedCompOp, candidate: dict, spec: SpaceSpec,
     return orbit_norm_sequence(op, f, spec, horizon, max_degree)
 
 
+def _capped_orbit(op: WeightedCompOp, candidate: dict, config: ExperimentConfig) -> bool:
+    """True when ``candidate_orbit`` takes the direct route and the cap drops
+    a nonzero coefficient within the horizon: its sequence is ``truncated``."""
+    if op.phi.fixes_one():
+        return False
+    s, k = candidate["s"], candidate.get("k", 0)
+    degree = binomial_series(s, config.degree).trimmed().degree + k
+    return first_capped(op.w, op.phi, config.horizon, config.max_degree, degree) <= config.horizon
+
+
 @dataclass
 class ClassifyResult:
     config: ExperimentConfig
@@ -181,10 +191,12 @@ class ClassifyResult:
     mean_li_yorke: ChaosVerdict
 
 
-def build_sequences(config: ExperimentConfig) -> tuple[NormSequence, list[NormSequence]]:
+def build_sequences(config: ExperimentConfig) -> tuple[NormSequence, list[NormSequence | None]]:
     """Weight norm sequence and candidate orbits for a config.
 
     Every candidate is checked for membership before any sequence is built.
+    An orbit computed under the degree cap is None in place: the
+    certificates keep it out of their tests, so it is never built.
     """
     op = build_operator(config)
     spec = config.space_spec()
@@ -192,7 +204,8 @@ def build_sequences(config: ExperimentConfig) -> tuple[NormSequence, list[NormSe
         require_in_space(spec, c["s"])
     weight_seq = weight_norm_sequence(
         weight_iterates(op.w, op.phi, config.horizon, config.max_degree), spec)
-    orbits = [candidate_orbit(op, c, spec, config.degree, config.horizon, config.max_degree)
+    orbits = [None if _capped_orbit(op, c, config) else
+              candidate_orbit(op, c, spec, config.degree, config.horizon, config.max_degree)
               for c in config.candidates]
     return weight_seq, orbits
 

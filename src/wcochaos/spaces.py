@@ -17,17 +17,17 @@ coefficient rows; ``coeff_norm_h2``, ``coeff_norm_bergman2`` and
 stream of polynomials, such as the weight iterates of a long horizon, in
 zero-padded blocks of at most BLOCK_BYTES with one kernel call per block.
 
-Quadrature cost is mostly inverse FFTs.  Automatic angular grids start at a
-5-smooth length (2^a 3^b 5^c, looked up in a sorted table), where numpy's
-FFT is fast, and doubling keeps them 5-smooth; a grid set through
-``angular_grid`` is used as given.  Hardy doubling is nested: the doubled
-grid is the old grid plus its half-step offset, so only the offset samples
-are new.  The Gauss-Jacobi radial rule is cached per (order, beta), and
-scipy.special, which supplies it, is imported on first use.  A Bergman row
-at radius r sees the coefficients damped by r^k, so it keeps only the first
-K terms whose dropped tail lies below 2^-53 of a lower bound on the row's
-mean, on a grid sized for degree K; rows with similar K share batched FFTs
-of at most BERGMAN_CHUNK_POINTS points.
+Every grid and order follows from the space and the polynomial alone.
+Quadrature cost is mostly inverse FFTs.  Angular grids start at a 5-smooth
+length (2^a 3^b 5^c, looked up in a sorted table), where numpy's FFT is
+fast, and doubling keeps them 5-smooth.  Hardy doubling is nested: the
+doubled grid is the old grid plus its half-step offset, so only the offset
+samples are new.  The Gauss-Jacobi radial rule is cached per (order,
+beta), and scipy.special, which supplies it, is imported on first use.  A
+Bergman row at radius r sees the coefficients damped by r^k, so it keeps
+only the first K terms whose dropped tail lies below 2^-53 of a lower bound
+on the row's mean, on a grid sized for degree K; rows with similar K share
+batched FFTs of at most BERGMAN_CHUNK_POINTS points.
 """
 
 from __future__ import annotations
@@ -75,10 +75,9 @@ BERGMAN_CHUNK_POINTS = 1 << 20
 
 @dataclass(frozen=True)
 class Hardy:
-    """Hardy space H^p, 1 <= p < inf; angular_grid overrides the default."""
+    """Hardy space H^p, 1 <= p < inf."""
 
     p: float
-    angular_grid: int | None = None
 
     def __post_init__(self):
         if not (1.0 <= self.p < math.inf):
@@ -94,8 +93,6 @@ class Bergman:
 
     p: float
     beta: float
-    angular_grid: int | None = None
-    radial_order: int = DEFAULT_RADIAL_ORDER
 
     def __post_init__(self):
         if not (1.0 < self.p < math.inf):
@@ -110,8 +107,6 @@ class Bergman:
 @dataclass(frozen=True)
 class SupSpace:
     """H^inf; norms are reported as two-sided brackets."""
-
-    grid_size: int = SUP_BRACKET_GRID
 
     def __str__(self):
         return "Hinf"
@@ -254,26 +249,16 @@ def _auto_grid(d, p: float):
     return _fast_len(need)
 
 
-def _angular_grid(d: int, p: float, given: int | None) -> int:
-    """Starting grid: _auto_grid, or the given one, raised for even p to the
-    5-smooth length >= p*d+1 where the exact rule needs more points."""
-    if given is None:
-        return _auto_grid(d, p)
-    if _even_integer(p) and given < int(p) * d + 1:
-        return _fast_len(int(p) * d + 1)
-    return given
-
-
 def _sum_abs_pow(f: AnalyticPoly, p: float, grid: int) -> float:
     return float(np.sum(np.abs(eval_on_circle(f, grid)) ** p))
 
 
-def quad_norm_hp(f: AnalyticPoly, p: float, angular_grid: int | None = None) -> float:
+def quad_norm_hp(f: AnalyticPoly, p: float) -> float:
     """H^p norm of a polynomial by the uniform trapezoid rule at radius 1.
 
     For even integer p the integrand |f|^p is a trigonometric polynomial and
-    the rule is exact once the grid exceeds p * deg f points; the grid is
-    enlarged to that size automatically.  For other p the grid is doubled
+    the rule is exact once the grid exceeds p * deg f points, as the starting
+    grid of ``_auto_grid`` does.  For other p the grid is doubled
     until the relative change is below 1e-9.  Doubling is nested: the
     samples of the M-point grid are kept in a running sum, and the new half
     of the 2M-point grid, the points shifted by pi/M, is the M-point inverse
@@ -285,11 +270,8 @@ def quad_norm_hp(f: AnalyticPoly, p: float, angular_grid: int | None = None) -> 
     e = _quadrature_scale(f.coeffs, p)
     if e:
         scaled = AnalyticPoly._adopt(_times_two_to(f.coeffs, -e))
-        return math.ldexp(quad_norm_hp(scaled, p, angular_grid), e)
-    d = f.trimmed().degree
-    if angular_grid is not None and angular_grid < 4 * d + 1:
-        raise ValueError("angular grid must have at least 4*deg(f) + 1 points")
-    grid = _angular_grid(d, p, angular_grid)
+        return math.ldexp(quad_norm_hp(scaled, p), e)
+    grid = _auto_grid(f.trimmed().degree, p)
     if _even_integer(p):
         return (_sum_abs_pow(f, p, grid) / grid) ** (1.0 / p)
     total = _sum_abs_pow(f, p, grid)
@@ -383,9 +365,7 @@ def _bergman_mean(c: np.ndarray, p: float, beta: float, order: int, grid: int,
     return float((beta + 1.0) * 2.0 ** (-(beta + 1.0)) * np.dot(wq, angular))
 
 
-def quad_norm_bergman_p(f: AnalyticPoly, p: float, beta: float,
-                        radial_order: int | None = None,
-                        angular_grid: int | None = None) -> float:
+def quad_norm_bergman_p(f: AnalyticPoly, p: float, beta: float) -> float:
     """A^p_beta norm by Gauss-Jacobi (radial) x trapezoid (angular) rules.
 
     In polar coordinates with u = r^2 the norm is (beta+1) *
@@ -410,11 +390,10 @@ def quad_norm_bergman_p(f: AnalyticPoly, p: float, beta: float,
     e = _quadrature_scale(f.coeffs, p)
     if e:
         scaled = AnalyticPoly._adopt(_times_two_to(f.coeffs, -e))
-        return math.ldexp(quad_norm_bergman_p(scaled, p, beta, radial_order, angular_grid), e)
+        return math.ldexp(quad_norm_bergman_p(scaled, p, beta), e)
     c = f.trimmed().coeffs
     d = len(c) - 1
-    grid = _angular_grid(d, p, angular_grid)
-    order = radial_order if radial_order is not None else DEFAULT_RADIAL_ORDER
+    grid, order = _auto_grid(d, p), DEFAULT_RADIAL_ORDER
     if _even_integer(p):
         # |f|^p is a trig polynomial in theta and a polynomial of degree
         # p*d/2 in u; both rules below are exact, up to the truncated rows'
@@ -451,20 +430,15 @@ def _sup_rows(block: np.ndarray, grid_size: int) -> tuple[np.ndarray, np.ndarray
     return lower, upper
 
 
-def sup_norm_bracket(f: AnalyticPoly, grid_size: int = SUP_BRACKET_GRID) -> tuple[float, float]:
+def sup_norm_bracket(f: AnalyticPoly) -> tuple[float, float]:
     """Two-sided bracket for the sup norm on the disk.
 
-    Lower bound: maximum of |f| over the uniform boundary grid (valid by the
-    maximum modulus principle).  Upper bound: coefficient absolute sum.
+    Lower bound: maximum of |f| over the SUP_BRACKET_GRID-point uniform
+    boundary grid (valid by the maximum modulus principle).  Upper bound:
+    coefficient absolute sum.
     """
-    _check_sup_grid(grid_size)
-    lower, upper = _sup_rows(f.coeffs[None], grid_size)
+    lower, upper = _sup_rows(f.coeffs[None], SUP_BRACKET_GRID)
     return float(lower[0]), float(upper[0])
-
-
-def _check_sup_grid(grid_size: int) -> None:
-    if grid_size < 64:
-        raise ValueError("sup bracket grid must have at least 64 points")
 
 
 def space_norm(f: AnalyticPoly, spec: SpaceSpec) -> float:
@@ -473,15 +447,13 @@ def space_norm(f: AnalyticPoly, spec: SpaceSpec) -> float:
     if isinstance(spec, Hardy):
         if spec.p == 2.0:
             return coeff_norm_h2(f)
-        return quad_norm_hp(f, spec.p, angular_grid=spec.angular_grid)
+        return quad_norm_hp(f, spec.p)
     if isinstance(spec, Bergman):
         if spec.p == 2.0:
             return coeff_norm_bergman2(f, spec.beta)
-        return quad_norm_bergman_p(f, spec.p, spec.beta,
-                                   radial_order=spec.radial_order,
-                                   angular_grid=spec.angular_grid)
+        return quad_norm_bergman_p(f, spec.p, spec.beta)
     if isinstance(spec, SupSpace):
-        return sup_norm_bracket(f, spec.grid_size)[0]
+        return sup_norm_bracket(f)[0]
     raise TypeError(f"unknown space spec {spec!r}")
 
 
@@ -498,8 +470,7 @@ def _block_kernel(spec: SpaceSpec):
     if isinstance(spec, Bergman) and spec.p == 2.0:
         return (lambda block: (_bergman2_rows(block, spec.beta),)), 1
     if isinstance(spec, SupSpace):
-        _check_sup_grid(spec.grid_size)
-        return (lambda block: _sup_rows(block, spec.grid_size)), spec.grid_size
+        return (lambda block: _sup_rows(block, SUP_BRACKET_GRID)), SUP_BRACKET_GRID
     return None
 
 

@@ -1,10 +1,9 @@
 """Self-maps of the unit disk and bounded analytic weights.
 
 A symbol is either an affine map alpha*z + gamma (stored exactly as the
-scalar pair) or a general polynomial.  Self-maps must be validated on a
-boundary grid before they are accepted by operator constructors; validation
-is a finite-grid test of the standing self-map hypothesis, not a proof, and
-boundary-touching maps are admitted through a small slack.
+scalar pair) or a general polynomial.  Self-maps must pass
+``validate_self_map``, a proof of the standing self-map hypothesis up to a
+small slack, before operator constructors accept them.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .series import AnalyticPoly, compose, compose_affine, eval_on_circle
+from .spaces import MAX_ANGULAR_GRID, sup_norm_bracket
 
 __all__ = [
     "SelfMapSymbol",
@@ -31,8 +31,7 @@ class SelfMapSymbol:
     """Analytic self-map candidate of the unit disk.
 
     kind is "affine" (exact scalar pair alpha, gamma) or "polynomial".
-    ``validated`` is set by validate_self_map; ``approximate`` marks symbols
-    produced by capped polynomial iteration.
+    ``validated`` is set by validate_self_map.
     """
 
     kind: str
@@ -40,15 +39,14 @@ class SelfMapSymbol:
     gamma: complex = 0.0
     poly: AnalyticPoly | None = None
     validated: bool = field(default=False, compare=False)
-    approximate: bool = False
 
     @classmethod
     def affine(cls, alpha, gamma) -> "SelfMapSymbol":
         return cls(kind="affine", alpha=complex(alpha), gamma=complex(gamma))
 
     @classmethod
-    def polynomial(cls, poly: AnalyticPoly, approximate: bool = False) -> "SelfMapSymbol":
-        return cls(kind="polynomial", poly=poly, approximate=approximate)
+    def polynomial(cls, poly: AnalyticPoly) -> "SelfMapSymbol":
+        return cls(kind="polynomial", poly=poly)
 
     @classmethod
     def identity(cls) -> "SelfMapSymbol":
@@ -75,11 +73,11 @@ class SelfMapSymbol:
             return 0 if self.alpha == 0 else 1
         return self.poly.trimmed().degree
 
-    def fixes_one(self, tol: float = 1e-12) -> bool:
+    def fixes_one(self) -> bool:
         """True for affine maps with alpha + gamma = 1 (fixed point z = 1)."""
         if self.kind != "affine":
             return False
-        return abs(self.alpha + self.gamma - 1.0) <= tol * (1.0 + abs(self.alpha) + abs(self.gamma))
+        return abs(self.alpha + self.gamma - 1.0) <= 1e-12 * (1.0 + abs(self.alpha) + abs(self.gamma))
 
     def iterate(self, n: int, max_degree: int | None = None) -> "SelfMapSymbol":
         """The n-fold iterate phi^n; polynomial symbols take it from ``iterates``.
@@ -125,7 +123,7 @@ class SelfMapSymbol:
         need ``max_degree`` and follow phi^(n+1) = phi o phi^n under the cap:
         with phi applied outermost, the terms a cap drops from phi^n only
         reach degrees above the cap, so every stored coefficient is an exact
-        partial sum of the true iterate.  They are flagged approximate.
+        partial sum of the true iterate.
         """
         if horizon < 0:
             raise ValueError("iterate count must be nonnegative")
@@ -138,7 +136,7 @@ class SelfMapSymbol:
         for n in range(1, horizon + 1):
             if n > 1:
                 acc = compose(self.poly, acc, max_degree=max_degree)
-            out.append(SelfMapSymbol.polynomial(acc.truncated(max_degree), approximate=True))
+            out.append(SelfMapSymbol.polynomial(acc.truncated(max_degree)))
         for it in out:
             it.validated = self.validated
         return out
@@ -155,17 +153,27 @@ def affine_fixing_one(a) -> SelfMapSymbol:
     return SelfMapSymbol.affine(a, 1.0 - complex(a))
 
 
-def validate_self_map(phi: SelfMapSymbol, grid_size: int = DEFAULT_GRID) -> bool:
-    """Finite-grid check that phi maps the disk into itself.
+def validate_self_map(phi: SelfMapSymbol) -> bool:
+    """Check that phi maps the disk into itself; on success set ``validated``.
 
-    Passes iff the maximum of |phi| over the uniform boundary grid is at most
-    1 + 1e-12 and |phi(0)| < 1.  The slack admits boundary-touching maps such
-    as a*z + 1 - a.  On success the symbol's ``validated`` flag is set.
+    Passes iff |phi(0)| < 1 and sup |phi| on the circle is proven at most
+    1 + SELF_MAP_SLACK, a slack for maps like a*z + 1 - a whose coefficients
+    sum to 1 only up to rounding.  The coefficient absolute sum proves it,
+    exactly for affine maps; else Bernstein's inequality |p'| <= d ||p||_inf
+    gives ||p||_inf <= max_grid / (1 - pi d/N) on an N-point boundary grid,
+    N doubling from DEFAULT_GRID.  The nested grids' maxima never fall, so a
+    maximum that leaves no N up to MAX_ANGULAR_GRID for the bound to pass
+    refuses the map.
     """
-    if grid_size < 64:
-        raise ValueError("validation grid must have at least 64 points")
-    boundary_max = float(np.max(np.abs(eval_on_circle(phi.as_poly(), grid_size))))
-    ok = boundary_max <= 1.0 + SELF_MAP_SLACK and abs(phi(0.0)) < 1.0
+    poly, bound = phi.as_poly(), 1.0 + SELF_MAP_SLACK
+    ok, grid = poly.coeff_abs_sum() <= bound, DEFAULT_GRID
+    slope = np.pi * phi.degree * bound  # N points prove the bound iff max_grid <= bound - slope/N
+    while not ok:
+        grid_max = float(np.max(np.abs(eval_on_circle(poly, grid))))
+        if grid_max > bound - slope / MAX_ANGULAR_GRID:
+            break
+        ok, grid = grid_max <= bound - slope / grid, 2 * grid
+    ok = ok and abs(phi(0.0)) < 1.0
     if ok:
         phi.validated = True
     return ok
@@ -186,14 +194,13 @@ class WeightSymbol:
     sup_upper: float
 
     @classmethod
-    def build(cls, poly: AnalyticPoly, grid_size: int = DEFAULT_GRID) -> "WeightSymbol":
-        lower = float(np.max(np.abs(eval_on_circle(poly, grid_size))))
-        upper = poly.coeff_abs_sum()
+    def build(cls, poly: AnalyticPoly) -> "WeightSymbol":
+        lower, upper = sup_norm_bracket(poly)
         return cls(poly=poly, sup_lower=lower, sup_upper=upper)
 
     @classmethod
-    def from_coeffs(cls, coeffs, grid_size: int = DEFAULT_GRID) -> "WeightSymbol":
-        return cls.build(AnalyticPoly(coeffs), grid_size=grid_size)
+    def from_coeffs(cls, coeffs) -> "WeightSymbol":
+        return cls.build(AnalyticPoly(coeffs))
 
     @property
     def bracket(self) -> tuple[float, float]:

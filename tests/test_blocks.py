@@ -42,7 +42,8 @@ def reference_norm(c, spec, side):
         if side == "upper":
             return math.fsum(a)
         return float(np.max(np.abs(np.polynomial.polynomial.polyval(
-            np.exp(2j * np.pi * np.arange(spec.grid_size) / spec.grid_size), c))))
+            np.exp(2j * np.pi * np.arange(spaces.SUP_BRACKET_GRID) / spaces.SUP_BRACKET_GRID),
+            c))))
     e = math.frexp(a.max())[1] if a.max() > 0 else 0
     s = np.ldexp(a, -e)
     g = np.ones(len(c)) if isinstance(spec, Hardy) else spaces.bergman2_coeff_weights(len(c), spec.beta)
@@ -79,8 +80,6 @@ def test_block_kernels_match_per_row_norms(monkeypatch, spec, side, block_bytes)
 
 
 def test_block_kernels_check_their_arguments():
-    with pytest.raises(ValueError, match="64 points"):
-        space_norms([np.ones(3)], SupSpace(grid_size=32))
     for spec in (Hardy(2.0), SupSpace()):
         assert [side.shape for side in space_norms([], spec)] == [(0,), (0,)]
 

@@ -147,6 +147,19 @@ class TestCertifyLiYorke:
             assert certify(synth(v), [capped]).growth is None
             assert certify(synth(v), [capped, synth(grows)]).growth.orbit == 1
 
+    def test_skipped_orbits_are_named_in_the_citation(self):
+        v = np.full(49, 1e-11)  # below epsilon throughout: decay fires
+        capped = synth(2.0 ** np.arange(49), provenance="bracket-lower", truncated=True)
+        for certify in (certify_li_yorke, certify_mean_li_yorke):
+            plain = certify(synth(np.ones(49)), [synth(np.ones(49))]).citation
+            assert "not scanned" not in plain
+            one = certify(synth(np.ones(49)), [synth(np.ones(49)), None])
+            assert one.kind == "NO_EVIDENCE" and one.growth is None
+            assert one.citation == plain + "; orbit 1 not scanned: computed under the degree cap"
+            two = certify(synth(v), [capped, None])
+            assert two.growth is None and two.decay is not None
+            assert two.citation.endswith("; orbits 0, 1 not scanned: computed under the degree cap")
+
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             certify_li_yorke(synth([1.0]), [], epsilon=0.0)

@@ -180,6 +180,32 @@ class TestClassifyCommand:
         assert li["kind"] == "INCONCLUSIVE" and li["growth_witness"] is None
         assert li["decay_witness"]["n"] == 60
 
+    def test_capped_orbit_is_never_built_and_is_named(self, tmp_path, monkeypatch):
+        # The parabolic map ((1 + z)/2)^2 doubles the degree 1024 of the
+        # candidate past the cap 256 at n = 1, so the orbit is capped throughout.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a capped orbit was composed")
+
+        monkeypatch.setattr(experiments, "orbit_norm_sequence", refuse)
+        out = tmp_path / "verdict.json"
+        assert main(["classify", "--w", "1", "--phi-poly", "0.25,0.5,0.25", "--max-degree", "256",
+                     "--horizon", "40", "--candidates", "s=-0.3", "--growth-factor", "10",
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        for key in ("li_yorke", "mean_li_yorke"):
+            assert doc[key]["kind"] == "NO_EVIDENCE"
+            assert doc[key]["citation"].endswith(
+                "; orbit 0 not scanned: computed under the degree cap")
+
+    def test_self_map_leaving_the_disk_is_refused(self, capsys):
+        # The grid maximum is 0.9 on 256 points, the sup 1.0817.
+        coeffs = ["0"] * 257
+        coeffs[0], coeffs[128], coeffs[256] = "0.3", "0.9", "-0.3"
+        rc = main(["weights", "--w", "1", "--phi-poly", ",".join(coeffs), "--space", "hinf",
+                   "--max-degree", "70000", "--horizon", "2"])
+        assert rc == 2
+        assert "self-map validation failed" in capsys.readouterr().err
+
     def test_capped_decay_refusal_names_the_cap(self, capsys):
         # phi = 0.3 + 0.5 z^2: deg w(n) = 2^n - 1 passes the cap 16 at n = 5.
         rc = main(["classify", "--w", "0.9*z", "--phi-poly", "0.3,0,0.5", "--max-degree", "16",

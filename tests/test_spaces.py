@@ -96,18 +96,13 @@ class TestHardyQuadrature:
         rng = np.random.default_rng(17)
         for _ in range(25):
             f = random_poly(rng, 64)
-            q = quad_norm_hp(f, 2, angular_grid=4 * 64 + 1)
+            q = quad_norm_hp(f, 2)
             c = coeff_norm_h2(f)
             assert abs(q - c) <= 1e-10 * c
 
     def test_p_below_one_rejected(self):
         with pytest.raises(ValueError):
             quad_norm_hp(AnalyticPoly.one(), 0.5)
-
-    def test_undersized_grid_rejected(self):
-        f = AnalyticPoly(np.ones(11))
-        with pytest.raises(ValueError):
-            quad_norm_hp(f, 2, angular_grid=17)
 
 
 class TestQuadratureRange:
@@ -160,7 +155,7 @@ class TestBergmanQuadrature:
         rng = np.random.default_rng(23)
         for _ in range(10):
             f = random_poly(rng, 32)
-            q = quad_norm_bergman_p(f, 2, beta, radial_order=128)
+            q = quad_norm_bergman_p(f, 2, beta)
             c = coeff_norm_bergman2(f, beta)
             assert abs(q - c) <= 1e-8 * c
 
@@ -195,13 +190,13 @@ class TestQuadratureKernels:
 
     @pytest.mark.parametrize("p", [1, 1.5, 3])
     def test_nested_doubling_equals_direct_rule(self, p, monkeypatch):
-        # An infinite tolerance stops after one doubling of the given grid.
+        # An infinite tolerance stops after one doubling of the starting grid.
         monkeypatch.setattr(spaces, "GRID_DOUBLING_TOL", math.inf)
         rng = np.random.default_rng(41)
-        for degree, grid in ((40, 161), (40, 200), (97, 389)):
+        for degree in (40, 49, 97):  # starting grids 162, 200 and 400
             f = AnalyticPoly(rng.uniform(-1, 1, degree + 1) + 1j * rng.uniform(-1, 1, degree + 1))
-            nested = quad_norm_hp(f, p, angular_grid=grid) ** p
-            direct = np.mean(np.abs(eval_on_circle(f, 2 * grid)) ** p)
+            nested = quad_norm_hp(f, p) ** p
+            direct = np.mean(np.abs(eval_on_circle(f, 2 * spaces._auto_grid(degree, p))) ** p)
             assert abs(nested - direct) <= 1e-13 * direct
 
     def test_jacobi_rule_computed_once_per_order_and_beta(self, monkeypatch):
@@ -330,7 +325,7 @@ class TestTruncatedBergmanRows:
 
         monkeypatch.setattr(np.fft, "ifft", recording)
         c = binomial_series(-0.2, degree).coeffs  # c_1 = 0.2 identifies each row
-        grid0 = spaces._angular_grid(degree, p, None)
+        grid0 = spaces._auto_grid(degree, p)
         for order, scale in ((128, 1), (256, 2)):
             calls.clear()
             spaces._bergman_mean(c, p, 0.5, order, grid0 * scale, scale)
@@ -379,13 +374,10 @@ class TestSupBracket:
 
     def test_half_sum_bracket(self):
         f = AnalyticPoly([0.5, 0.5])
-        lowers = [sup_norm_bracket(f, m)[0] for m in (64, 128, 256)]
+        lowers = [np.max(np.abs(eval_on_circle(f, m))) for m in (64, 128, spaces.SUP_BRACKET_GRID)]
         assert all(a <= b + 1e-15 for a, b in zip(lowers, lowers[1:]))
+        assert sup_norm_bracket(f)[0] == lowers[-1]
         assert sup_norm_bracket(f)[1] == pytest.approx(1.0)
-
-    def test_grid_floor(self):
-        with pytest.raises(ValueError):
-            sup_norm_bracket(AnalyticPoly.one(), 32)
 
     @given(f=polys)
     @settings(max_examples=60, deadline=None)

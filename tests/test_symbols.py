@@ -1,10 +1,13 @@
 """Self-map validation, affine iteration, weight brackets."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wcochaos.series import AnalyticPoly
+from wcochaos.series import AnalyticPoly, eval_on_circle
+from wcochaos.spaces import SUP_BRACKET_GRID
 from wcochaos.symbols import (SelfMapSymbol, WeightSymbol, affine_fixing_one,
                               validate_self_map)
 
@@ -36,9 +39,31 @@ class TestValidation:
         phi = SelfMapSymbol.polynomial(AnalyticPoly([0, 0, 0.9]))
         assert validate_self_map(phi)
 
-    def test_small_grid_rejected(self):
-        with pytest.raises(ValueError):
-            validate_self_map(affine_fixing_one(0.5), grid_size=32)
+    def test_map_leaving_the_disk_between_grid_points_is_refused(self):
+        # 0.3 + 0.9 z^128 - 0.3 z^256 reads 0.9 on the 256-point grid, where
+        # z^128 = 1, yet reaches sqrt(0.81 + 4 * 0.09) = 1.0817 where z^128 = i.
+        c = np.zeros(257)
+        c[[0, 128, 256]] = 0.3, 0.9, -0.3
+        phi = SelfMapSymbol.polynomial(AnalyticPoly(c))
+        start = time.perf_counter()
+        assert not validate_self_map(phi)
+        assert time.perf_counter() - start < 1.0
+        assert not phi.validated
+
+    def test_cancelling_coefficients_pass_through_the_bernstein_bound(self):
+        # sum |c_k| = 1.2, but sup |0.4 + 0.4 z - 0.4 z^2| = 0.894.
+        phi = SelfMapSymbol.polynomial(AnalyticPoly([0.4, 0.4, -0.4]))
+        assert validate_self_map(phi)
+        z = 0.999 * np.exp(2j * np.pi * np.arange(4096) / 4096)
+        assert np.max(np.abs(phi(z))) < 0.9
+
+    def test_unseparable_boundary_touching_map_is_refused_at_once(self):
+        # |z^2 + 2z - 1| = 2 sqrt(1 + sin^2 t): the sup is exactly 1 at z = i,
+        # a grid point, so no grid bound can pass; sum |c_k| = sqrt(2).
+        phi = SelfMapSymbol.polynomial(AnalyticPoly(np.array([-1, 2, 1]) / (2 * np.sqrt(2))))
+        start = time.perf_counter()
+        assert not validate_self_map(phi)
+        assert time.perf_counter() - start < 1.0
 
     @given(a=st.floats(0.05, 0.95), t=st.floats(0, 2 * np.pi),
            r=st.floats(0, 0.99))
@@ -103,7 +128,6 @@ class TestPolynomialIteration:
     def test_square_map(self):
         phi = SelfMapSymbol.polynomial(AnalyticPoly([0, 0, 1.0]))
         it = phi.iterate(2, max_degree=10)
-        assert it.approximate
         assert it.poly == AnalyticPoly.monomial(4)
 
     def test_cap_required(self):
@@ -121,11 +145,13 @@ class TestWeightSymbol:
 
     def test_lower_grows_toward_sup_under_refinement(self):
         w_poly = AnalyticPoly([0.5, 0.5])  # sup attained at z = 1
-        lowers = [WeightSymbol.build(w_poly, grid_size=m).sup_lower
-                  for m in (64, 128, 256, 512)]
+        grids = (64, 128, 256, 512)
+        lowers = [float(np.max(np.abs(eval_on_circle(w_poly, m)))) for m in grids]
         assert all(a <= b + 1e-15 for a, b in zip(lowers, lowers[1:]))
         assert lowers[-1] <= 1.0 + 1e-12
         assert lowers[-1] == pytest.approx(1.0, rel=1e-12)
+        # The weight's lower side is the maximum on the sup-bracket grid.
+        assert WeightSymbol.build(w_poly).sup_lower == lowers[grids.index(SUP_BRACKET_GRID)]
 
     @given(cs=st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
                        min_size=1, max_size=8))
