@@ -34,6 +34,7 @@ __all__ = [
     "DecayWitness",
     "GrowthWitness",
     "ChaosVerdict",
+    "check_thresholds",
     "certify_li_yorke",
     "certify_mean_li_yorke",
     "growth_rate_fit",
@@ -122,7 +123,8 @@ class ChaosVerdict:
     horizon: int
 
 
-def _check_thresholds(epsilon: float, growth_factor: float) -> None:
+def check_thresholds(epsilon: float, growth_factor: float) -> None:
+    """Raise ValueError unless epsilon > 0 and growth_factor > 1."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if not growth_factor > 1:
@@ -207,7 +209,7 @@ def _certify(evidence: str, weight_seq: NormSequence, orbit_seqs, epsilon: float
     each channel against G times the upper side of its first value.  An
     orbit that is None or truncated is skipped, and the citation says so.
     """
-    _check_thresholds(epsilon, growth_factor)
+    check_thresholds(epsilon, growth_factor)
     if weight_seq.truncated:
         raise ValueError("decay test refuses capped sequences "
                          "(partial-sum norms underestimate the true norms)")

@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .chaos import ChaosVerdict, eigen_residual, fit_window, growth_rate_fit, sequence_stats
+from .chaos import (ChaosVerdict, check_thresholds, eigen_residual, fit_window, growth_rate_fit,
+                    sequence_stats)
 from .experiments import (SCHEMA_VERSION, ClassifyResult, ExperimentConfig,
                           build_operator, candidate_orbit, parse_candidate,
                           run_classify, sweep_task)
@@ -56,9 +57,13 @@ def sequence_csv(seq: NormSequence, extra: dict | None = None) -> str:
         raise ValueError(f"non-finite {table[i, j]} at row n={i + 1}, column "
                          f"{list(columns)[j]}: a norm or its running mean overflowed a "
                          "double, and the CSV output admits no inf or nan")
+    # Each distinct float is rendered once: running columns repeat values.
+    # Bit patterns keep -0.0 apart from 0.0.
+    bits, cells = np.unique(table.view(np.int64), return_inverse=True)
+    text = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    rows = text[cells.reshape(table.shape)].tolist()
     lines = [",".join(["n", *columns])]
-    for n, row in enumerate(table, start=1):
-        lines.append(",".join([str(n), *map(_fmt, row.tolist())]))
+    lines += [",".join([str(n), *row]) for n, row in enumerate(rows, start=1)]
     return "\n".join(lines) + "\n"
 
 
@@ -207,6 +212,8 @@ _SWEEP_SETS = {"lambda-a": [("w", "--w"), ("phi_affine", "--phi-affine")],
 
 
 def cmd_sweep(args) -> int:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, not {args.workers}")
     if args.grid_lambda and args.grid_a:
         kind = "lambda-a"
         xs, ys = _parse_grid(args.grid_lambda), _parse_grid(args.grid_a)
@@ -224,7 +231,9 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"a {kind} sweep sets {flag} from its grid; drop {flag}")
     args.w = "1" if args.w is None else args.w
     args.space = "h2" if args.space is None else args.space
-    base = _config_from_args(args).to_dict()
+    config = _config_from_args(args)
+    check_thresholds(config.epsilon, config.growth_factor)
+    base = config.to_dict()
     xs, ys = [float(x) for x in xs], [float(y) for y in ys]
     if kind == "lambda-a":
         tasks = [(kind, xs, y, base) for y in ys]  # one per a column

@@ -32,7 +32,7 @@ from .symbols import SelfMapSymbol, WeightSymbol, affine_fixing_one, validate_se
 from .spaces import SpaceSpec, parse_space, require_in_space
 from .operators import (WeightedCompOp, NormSequence, orbit_norm_sequence,
                         weight_norm_sequence, eigen_orbit_norm_sequence)
-from .chaos import (ChaosVerdict, certify_li_yorke, certify_mean_li_yorke,
+from .chaos import (ChaosVerdict, certify_li_yorke, certify_mean_li_yorke, check_thresholds,
                     DEFAULT_EPSILON, DEFAULT_GROWTH_FACTOR, DEFAULT_HORIZON)
 
 __all__ = [
@@ -219,7 +219,9 @@ def _verdicts(config: ExperimentConfig, weight_seq: NormSequence,
 
 
 def run_classify(config: ExperimentConfig) -> ClassifyResult:
-    """Weight sequence, candidate orbits and both certificates for a config."""
+    """Weight sequence, candidate orbits and both certificates for a config;
+    the thresholds are checked before any sequence is built."""
+    check_thresholds(config.epsilon, config.growth_factor)
     weight_seq, orbits = build_sequences(config)
     li, mean = _verdicts(config, weight_seq, orbits)
     return ClassifyResult(config=config, weight_seq=weight_seq, orbit_seqs=orbits,

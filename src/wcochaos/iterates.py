@@ -10,13 +10,22 @@ Horner passes over the closed-form coefficients of phi^n, a bounded chunk of
 n at a time.  Each product drops its trailing coefficients that are exactly
 zero: in the usual case 1 - phi(z) = alpha (1 - z) with |alpha| < 1 the
 high coefficients of w(n) underflow to 0.0, so a step costs O(nonzero
-width), not O(n).  ``weight_iterate_sequence`` stores the same pairs in a
-list, for callers that index them or read them twice.
+width), not O(n).  In doubles alpha^n is exactly 0.0 from a step
+N0 ~ 745.13 / ln(1/|alpha|) on, and phi^n is then one constant map: the
+factor stream repeats a single row [c, 0, ..., 0], and each later step
+takes w(n) * c instead of a product wherever the bits agree.
+``weight_iterate_sequence`` stores the same pairs in a list, for callers
+that index them or read them twice.
 """
 
 from __future__ import annotations
 
-from .series import AnalyticPoly, coeff_product, compose_affine_rows, trim_trailing_zeros
+from itertools import repeat
+
+import numpy as np
+
+from .series import (SHORT_FACTOR_TAPS, AnalyticPoly, coeff_product, compose_affine_rows,
+                     trim_trailing_zeros)
 from .spaces import BLOCK_BYTES
 from .symbols import SelfMapSymbol, WeightSymbol
 
@@ -57,13 +66,22 @@ def affine_compositions(f: AnalyticPoly, phi: SelfMapSymbol, horizon: int):
 
     The coefficients of phi^n are those of ``SelfMapSymbol.iterate``; each
     chunk of n, at most about BLOCK_BYTES of output, is composed in one
-    ``compose_affine_rows`` pass, and its rows are yielded read-only.
+    ``compose_affine_rows`` pass, and its rows are yielded read-only.  From
+    the first n >= 2 with alpha_n exactly 0.0, phi^n is one constant map,
+    whose row is composed once and yielded, as the same array, for every
+    later n.
     """
     step = max(1, BLOCK_BYTES // (16 * len(f.coeffs)))
     for start in range(1, horizon + 1, step):
         alphas, gammas = phi.affine_coefficients(range(start, min(start + step, horizon + 1)))
-        chunk = compose_affine_rows(f, alphas, gammas)
+        zero = np.flatnonzero((alphas == 0) & (np.arange(start, start + len(alphas)) >= 2))
+        stop = zero[0] + 1 if len(zero) else len(alphas)
+        chunk = compose_affine_rows(f, alphas[:stop], gammas[:stop])
         chunk.setflags(write=False)
+        if len(zero):
+            yield from chunk[:-1]
+            yield from repeat(chunk[-1], horizon - start - stop + 2)
+            return
         yield from chunk
 
 
@@ -76,13 +94,33 @@ def _factors(w: AnalyticPoly, phi: SelfMapSymbol, horizon: int, max_degree: int 
             for it in phi.iterates(horizon, max_degree)[1:-1])
 
 
+def _scalar(factor, current):
+    """c if the product of ``current`` and the constant row [c, 0, ..., 0]
+    may be taken as current * c, else None.
+
+    The full product only adds exact zeros to those values, so they agree
+    up to the sign of zero, except where ``np.convolve`` takes it with its
+    own complex arithmetic, or where an inf meets a zero and makes NaN;
+    |Re c| + |Im c| <= 1 keeps a finite ``current`` finite.
+    """
+    c = factor[0]
+    ok = (not factor[1:].any() and abs(c.real) + abs(c.imag) <= 1
+          and (c.imag == 0 or len(factor) <= SHORT_FACTOR_TAPS) and np.isfinite(current).all())
+    return c if ok else None
+
+
 def _steps(w: AnalyticPoly, factors, max_degree: int | None, capped_from: int):
     """(w(n), n >= capped_from) by w(n+1) = w(n) * (w o phi^n), each w(n)
-    without its trailing exact zeros."""
+    without its trailing exact zeros; a factor that the stream repeats
+    multiplies as a scalar where ``_scalar`` allows."""
     yield w, capped_from <= 1
-    current = w.coeffs
+    current, last, repeats, c = w.coeffs, None, False, None
     for n, factor in enumerate(factors, start=2):
-        current = coeff_product(current, factor)
+        if factor is not last:
+            last, repeats, c = factor, False, None
+        elif not repeats:
+            repeats, c = True, _scalar(factor, current)
+        current = coeff_product(current, factor) if c is None else current * c
         if max_degree is not None:
             current = current[: max_degree + 1]
         current = trim_trailing_zeros(current)

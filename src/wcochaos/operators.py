@@ -16,7 +16,11 @@ uniform in n, whereas composing a truncated g_s directly loses the
 eigen-behaviour as soon as |alpha|^n * deg falls below 1 (the iterated map
 then no longer resolves the truncation scale).  The running product drops
 its trailing zeros each step, and its factors come batched from
-``iterates.affine_compositions``.
+``iterates.affine_compositions``.  From the step N0 where alpha^n
+underflows to 0.0, both factors are constant rows, a step is a fixed map
+of the product, and the product soon cycles: once it repeats one of the
+last two bitwise, the stored terms and peaks are replayed and no product
+is formed.
 
 All three routines hand their polynomials to ``spaces.space_norms``,
 which takes H^2, A^2_beta and H^inf norms one block of rows at a time and
@@ -26,6 +30,7 @@ returns both sides of the H^inf bracket.
 from __future__ import annotations
 
 import math
+from itertools import cycle, islice
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -216,29 +221,51 @@ def eigen_orbit_norm_sequence(op: WeightedCompOp, s, degree: int, spec: SpaceSpe
             and phi.alpha.imag == 0 and phi.gamma.imag == 0)
     part = np.real if real else np.asarray
     g = part(binomial_series(s, degree).coeffs)
-    w_factors = map(part, affine_compositions(w, phi, horizon - 1))
-    z_powers = map(part, affine_compositions(AnalyticPoly.monomial(power), phi, horizon))
+    w_factors = affine_compositions(w, phi, horizon - 1)
+    z_powers = affine_compositions(AnalyticPoly.monomial(power), phi, horizon)
 
-    # The running polynomial is renormalized each step and the scale kept in
-    # log space: |mu|^n alone can overflow a double long before the orbit
-    # value itself does.
+    def steps():
+        """(orbit term n, log of the peak divided out of product n + 1), n = 1..horizon.
+
+        The running polynomial is renormalized each step and the scale kept
+        in log space: |mu|^n alone can overflow a double long before the
+        orbit value itself does.  Once both factor streams repeat one
+        constant row, a step is a fixed map of the product, so a product
+        bitwise equal to one of the last two starts a cycle of the stored
+        terms and peaks.
+        """
+        product = trim_trailing_zeros(coeff_product(g, part(w.coeffs)))  # w(1) * g
+        last = []  # (product, term, log peak, w factor, z factor) of the latest two steps
+        for n in range(1, horizon + 1):
+            z = next(z_powers) if power else None
+            term = coeff_product(product, part(z)) if power else product
+            if n == horizon:
+                yield term, 0.0
+                return
+            factor = next(w_factors)
+            # A fresh array that only this loop holds, so it is scaled in place.
+            c = coeff_product(product, part(factor))
+            peak = float(np.abs(c).max())
+            if peak > 0:
+                c *= 1.0 / peak
+            last = [*last[-1:], (product, term, math.log(peak) if peak > 0 else 0.0, factor, z)]
+            yield last[-1][1:3]
+            product = trim_trailing_zeros(c)
+            if len(last) == 2 and last[0][3] is factor and last[0][4] is z:
+                for period in (1, 2):
+                    if np.array_equal(product.view(np.int64), last[-period][0].view(np.int64)):
+                        yield from islice(cycle(st[1:3] for st in last[-period:]), horizon - n)
+                        return
+
     log_scales = np.empty(horizon)
 
     def terms():
         log_scale = 0.0
-        product = trim_trailing_zeros(coeff_product(g, part(w.coeffs)))  # w(1) * g
-        for n in range(1, horizon + 1):
+        for n, (term, log_peak) in enumerate(steps(), start=1):
             log_scale += log_mu
             log_scales[n - 1] = log_scale
-            yield coeff_product(product, next(z_powers)) if power else product
-            if n < horizon:
-                # A fresh array that only this loop holds, so it is scaled in place.
-                c = coeff_product(product, next(w_factors))
-                peak = float(np.abs(c).max())
-                if peak > 0:
-                    c *= 1.0 / peak
-                    log_scale += math.log(peak)
-                product = trim_trailing_zeros(c)
+            yield term
+            log_scale += log_peak
 
     def unscaled(nrm):
         with np.errstate(divide="ignore", invalid="ignore"):

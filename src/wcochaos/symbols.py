@@ -108,12 +108,21 @@ class SelfMapSymbol:
 
     def affine_coefficients(self, ns: range) -> tuple[np.ndarray, np.ndarray]:
         """alpha_n and gamma_n of phi^n for every n in ``ns``, as ``iterate``
-        computes them, without building a symbol per n."""
+        computes them, without building a symbol per n.
+
+        Once alpha**n underflows to exactly 0.0 for some n >= 2, the closed
+        form no longer depends on n, and that pair fills the rest of an
+        ascending ``ns``.
+        """
         if self.kind != "affine":
             raise ValueError("only affine symbols iterate in closed form")
-        fixes_one = self.fixes_one()
-        pairs = np.array([self._closed_form(n, fixes_one) for n in ns],
-                         dtype=np.complex128).reshape(-1, 2)
+        fixes_one, pairs = self.fixes_one(), []
+        for n in ns:
+            pairs.append(self._closed_form(n, fixes_one))
+            if n >= 2 and ns.step > 0 and pairs[-1][0] == 0:
+                pairs += pairs[-1:] * (len(ns) - len(pairs))
+                break
+        pairs = np.array(pairs, dtype=np.complex128).reshape(-1, 2)
         return pairs[:, 0], pairs[:, 1]
 
     def iterates(self, horizon: int, max_degree: int | None = None) -> list["SelfMapSymbol"]:

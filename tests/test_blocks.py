@@ -11,13 +11,14 @@ import math
 import numpy as np
 import pytest
 
-from wcochaos import iterates, spaces
+from wcochaos import iterates, operators, spaces
 from wcochaos.experiments import ExperimentConfig, build_operator
 from wcochaos.iterates import affine_compositions, weight_iterates
 from wcochaos.operators import eigen_orbit_norm_sequence, weight_norm_sequence
-from wcochaos.series import AnalyticPoly, binomial_series, compose_affine, compose_affine_rows
+from wcochaos.series import (AnalyticPoly, binomial_series, coeff_product, compose_affine,
+                             compose_affine_rows, trim_trailing_zeros)
 from wcochaos.spaces import Bergman, Hardy, SupSpace, space_norm, space_norms, sup_norm_bracket
-from wcochaos.symbols import SelfMapSymbol, validate_self_map
+from wcochaos.symbols import SelfMapSymbol, WeightSymbol, validate_self_map
 
 CASES = [(Hardy(2.0), "lower"), (Bergman(2.0, 0.5), "lower"), (Bergman(2.0, -0.7), "lower"),
          (SupSpace(), "lower"), (SupSpace(), "upper")]
@@ -198,3 +199,127 @@ class TestLongHorizons:
         want = untrimmed_orbit_logs(op.w.poly, op.phi, s, 128, 400, 1,
                                     lambda c: float(np.sum(np.abs(c))))
         np.testing.assert_allclose(got.upper / np.exp(want), 1.0, rtol=0, atol=1e-14)
+
+
+def collapse_step(phi):
+    """N0, the first n >= 2 where alpha_n = alpha**n is exactly 0.0."""
+    return next(n for n in range(2, 10**6) if phi._closed_form(n, phi.fixes_one())[0] == 0)
+
+
+def stepped_weights(w, phi, horizon):
+    """w(n) by the per-step loop: a freshly composed factor and a full product
+    every step."""
+    current = w.coeffs
+    yield current
+    for n in range(1, horizon):
+        current = trim_trailing_zeros(coeff_product(current, phi.iterate(n).compose_into(w).coeffs))
+        yield current
+
+
+def stepped_eigen_orbit(op, s, degree, spec, horizon, power):
+    """(log_values, values, upper) of a real eigen orbit by the per-step loop."""
+    phi, w = op.phi, op.w.poly.trimmed()
+    log_mu = math.log(abs(np.exp(complex(s) * np.log(phi.alpha))))
+    product = trim_trailing_zeros(coeff_product(np.real(binomial_series(s, degree).coeffs),
+                                                np.real(w.coeffs)))
+    log_scales = []
+
+    def terms():
+        nonlocal product
+        log_scale = 0.0
+        for n in range(1, horizon + 1):
+            log_scale += log_mu
+            log_scales.append(log_scale)
+            it = phi.iterate(n)
+            yield (coeff_product(product, np.real(it.compose_into(AnalyticPoly.monomial(power)).coeffs))
+                   if power else product)
+            c = coeff_product(product, np.real(it.compose_into(w).coeffs))
+            peak = float(np.abs(c).max())
+            c *= 1.0 / peak
+            log_scale += math.log(peak)
+            product = trim_trailing_zeros(c)
+
+    lower, upper = space_norms(terms(), spec)
+    logs = np.array(log_scales) + np.log(lower)
+    return logs, np.exp(logs), np.exp(np.array(log_scales) + np.log(upper))
+
+
+class TestCollapsedIterates:
+    """From N0 on, alpha_n is 0.0, phi^n is one constant map, and the streams
+    stop doing per-step arithmetic: the results stay those of the step loop."""
+
+    @pytest.mark.parametrize("phi", [affine(a) for a in np.geomspace(1e-4, 0.99, 13)]
+                             + [SelfMapSymbol.affine(0.3 + 0.4j, 0.6 - 0.4j),
+                                SelfMapSymbol.affine(0.5 - 0.2j, 0.1),
+                                SelfMapSymbol.affine(0.0, 0.3)],
+                             ids=[f"a={a:.4g}" for a in np.geomspace(1e-4, 0.99, 13)]
+                             + ["complex-fixes-one", "general", "constant"])
+    def test_affine_coefficients_match_closed_form_past_collapse(self, phi):
+        horizon = 2 * collapse_step(phi)
+        fixes_one = phi.fixes_one()
+        want = np.array([phi._closed_form(n, fixes_one) for n in range(horizon + 1)],
+                        dtype=complex)
+        for start in (0, 1, horizon // 2 + 1):
+            alphas, gammas = phi.affine_coefficients(range(start, horizon + 1))
+            assert np.array_equal(alphas, want[start:, 0])
+            assert np.array_equal(gammas, want[start:, 1])
+
+    @pytest.mark.parametrize("a", [0.15, 0.3, 0.45])
+    def test_real_weight_streams_match_the_step_loop(self, a):
+        self.check_weights(AnalyticPoly([0.0, 0.95]), affine(a), 3000)
+
+    @pytest.mark.parametrize("coeffs", [[0.5, 0.3j], [0.2, 0.1, 0.3, 0.1, 0.2, 0.05],
+                                        [0.2, 0.1j, 0.3, 0.1, 0.2j, 0.05]],
+                             ids=["complex", "degree-5", "complex-degree-5"])
+    def test_other_weight_streams_match_the_step_loop(self, coeffs):
+        self.check_weights(AnalyticPoly(coeffs), affine(0.15), 1500)
+
+    @staticmethod
+    def check_weights(poly, phi, horizon):
+        w = WeightSymbol.build(poly)
+        stream = list(weight_iterates(w, phi, horizon))
+        steps = list(stepped_weights(w.poly.trimmed(), phi, horizon))
+        assert len(stream) == len(steps) == horizon
+        for (got, _), want in zip(stream, steps):
+            assert np.array_equal(got.coeffs, want)  # the sign of a zero may differ
+        for spec in (Hardy(2.0), SupSpace()):
+            got = weight_norm_sequence(iter(stream), spec)
+            want = weight_norm_sequence(((AnalyticPoly(c), False) for c in steps), spec)
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.upper, want.upper)
+
+    @pytest.mark.parametrize("lam,a,s,power", [(0.95, 0.3, -0.2, 0), (0.95, 0.3, -0.2, 1),
+                                               (0.7, 0.2, -0.3, 2), (0.8609, 0.3998, -0.1532, 0),
+                                               (0.8609, 0.3998, -0.1532, 2)],
+                             ids=["k0", "k1", "k2", "period-2-k0", "period-2-k2"])
+    def test_eigen_orbits_match_the_step_loop(self, lam, a, s, power):
+        op = build_operator(ExperimentConfig(weight=f"{lam}*z", phi_affine=a))
+        got = eigen_orbit_norm_sequence(op, s, 256, Hardy(2.0), 2000, power=power)
+        logs, values, upper = stepped_eigen_orbit(op, s, 256, Hardy(2.0), 2000, power)
+        assert np.array_equal(got.log_values, logs)
+        assert np.array_equal(got.values, values)
+        assert np.array_equal(got.upper, upper)
+
+    def test_collapsed_steps_make_no_products(self, monkeypatch):
+        calls = []
+
+        def counting(name, module):
+            def product(a, b):
+                calls.append(name)
+                return coeff_product(a, b)
+            monkeypatch.setattr(module, "coeff_product", product)
+
+        counting("weights", iterates)
+        counting("eigen", operators)
+        op = build_operator(ExperimentConfig(weight="0.95*z", phi_affine=0.3))
+        n0 = collapse_step(op.phi)
+        rows = list(affine_compositions(op.w.poly, op.phi, 3000))
+        assert all(row is rows[n0 - 1] for row in rows[n0 - 1:])
+        assert not rows[-1].flags.writeable and rows[n0 - 2] is not rows[n0 - 1]
+        list(weight_iterates(op.w, op.phi, 3000))
+        assert calls.count("weights") <= n0
+        # The period-2 draw: its products repeat two steps after N0.
+        op = build_operator(ExperimentConfig(weight="0.8609*z", phi_affine=0.3998))
+        n0 = collapse_step(op.phi)
+        eigen_orbit_norm_sequence(op, -0.1532, 256, Hardy(2.0), 3000, power=1)
+        assert calls.count("eigen") <= 2 * (n0 + 3)

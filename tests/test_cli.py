@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from wcochaos import cli, experiments, iterates, operators
+from wcochaos.chaos import sequence_stats
 from wcochaos.cli import main
 from wcochaos.experiments import ExperimentConfig, parse_candidate, parse_weight
 from wcochaos.series import AnalyticPoly
@@ -106,7 +107,51 @@ class TestOrbitCommand:
         assert "Re(s) > -1/3" in capsys.readouterr().err
 
 
+def per_cell_csv(seq, extra=None):
+    """``sequence_csv`` as it rendered one cell at a time, with repr."""
+    v = seq.values
+    columns = {"norm": v, "cesaro_mean": sequence_stats(v).cesaro,
+               "running_min": np.minimum.accumulate(v),
+               "running_max": np.maximum.accumulate(v), **(extra or {})}
+    lines = [",".join(["n", *columns])]
+    for n, row in enumerate(np.column_stack(list(columns.values())), start=1):
+        lines.append(",".join([str(n), *map(repr, row.tolist())]))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_renders_each_distinct_float_as_repr():
+    from wcochaos.operators import NormSequence
+    from wcochaos.spaces import Hardy
+
+    rng = np.random.default_rng(3)
+    v = np.repeat(rng.random(40), 3)  # repeats in every column
+    v[[0, 5, 9]] = [0.0, 5e-324, 1e308]
+    seq = NormSequence(values=v, space=Hardy(2.0), provenance="exact-coefficient")
+    bound = rng.normal(size=len(v))
+    bound[:6] = [0.0, -0.0, -0.0, 2.2250738585072014e-308, -1e308, 1e-310]
+    extra = {"bound": bound}
+    assert cli.sequence_csv(seq, extra) == per_cell_csv(seq, extra)
+    assert ",-0.0\n" in cli.sequence_csv(seq, extra)
+    assert cli.sequence_csv(seq) == per_cell_csv(seq)
+
+
 class TestClassifyCommand:
+    @pytest.mark.parametrize("flag,value,message", [("--eps", "0", "epsilon must be positive"),
+                                                    ("--growth-factor", "1",
+                                                     "growth factor must exceed 1")])
+    @pytest.mark.parametrize("command", [["classify", "--w", "0.9*z", "--phi-affine", "0.25"],
+                                         ["sweep", "--grid-lambda", "0.5:0.9:2",
+                                          "--grid-a", "0.1:0.4:2"]],
+                             ids=["classify", "sweep"])
+    def test_thresholds_refused_before_any_sequence(self, monkeypatch, capsys, command, flag,
+                                                    value, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("weight iterates were built before the threshold check")
+
+        refuse_iterates(monkeypatch, no_work)
+        assert main(command + ["--horizon", "3000", flag, value]) == 2
+        assert message in capsys.readouterr().err
+
     def test_verdict_file_shape_and_kinds(self, tmp_path):
         out = tmp_path / "verdict.json"
         assert main(["classify", "--w", "0.9*z", "--phi-affine", "0.25",
@@ -380,6 +425,12 @@ class TestSweepCommand:
 
     def test_missing_grid_flags(self, capsys):
         assert main(["sweep", "--space", "h2"]) == 2
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_refused(self, capsys, workers):
+        assert main(["sweep", "--grid-lambda", "0.5:0.9:2", "--grid-a", "0.1:0.4:2",
+                     "--workers", workers]) == 2
+        assert "--workers" in capsys.readouterr().err
 
 
 class TestEigenCommand:
