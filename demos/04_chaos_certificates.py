@@ -14,7 +14,7 @@ from wcochaos import (ExperimentConfig, Hardy, SelfMapSymbol, WeightSymbol,
                       WeightedCompOp, affine_fixing_one, binomial_series,
                       certify_li_yorke, certify_mean_li_yorke,
                       orbit_norm_sequence, run_classify, validate_self_map,
-                      weight_iterates, weight_norm_sequence)
+                      weight_norm_sequence)
 
 
 def show(tag, verdict):
@@ -42,10 +42,10 @@ result = run_classify(ExperimentConfig(weight="0.6*z", phi_affine=0.5, space="h2
 show("plain", result.li_yorke)
 
 print("\n== rotation control: an isometry shows nothing ==")
-phi = SelfMapSymbol.rotation(np.pi / 3)
+phi = SelfMapSymbol.affine(np.exp(1j * np.pi / 3), 0)
 validate_self_map(phi)
 op = WeightedCompOp(WeightSymbol.from_coeffs([1.0]), phi)
-ws = weight_norm_sequence(weight_iterates(op.w, op.phi, 200), Hardy(2))
+ws = weight_norm_sequence(op, Hardy(2), 200)
 orbit = orbit_norm_sequence(op, binomial_series(-0.4, 256), Hardy(2), 200)
 show("plain", certify_li_yorke(ws, [orbit]))
 show("averaged", certify_mean_li_yorke(ws, [orbit]))
@@ -56,7 +56,7 @@ print("a degree cap of 20 leaves partial sums of the weight iterates:")
 phi = affine_fixing_one(0.25)
 validate_self_map(phi)
 op = WeightedCompOp(WeightSymbol.from_coeffs([0, 0.9]), phi)
-capped = weight_norm_sequence(weight_iterates(op.w, op.phi, 60, max_degree=20), Hardy(2))
+capped = weight_norm_sequence(op, Hardy(2), 60, max_degree=20)
 try:
     certify_li_yorke(capped, [])
 except ValueError as exc:

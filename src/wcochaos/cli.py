@@ -18,12 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .chaos import (ChaosVerdict, check_thresholds, eigen_residual, fit_window, growth_rate_fit,
+from .chaos import (DEFAULT_EPSILON, DEFAULT_GROWTH_FACTOR, DEFAULT_HORIZON, ChaosVerdict,
+                    check_thresholds, eigen_residual, fit_window, growth_rate_fit,
                     sequence_stats)
-from .experiments import (SCHEMA_VERSION, ClassifyResult, ExperimentConfig,
+from .experiments import (DEFAULT_DEGREE, SCHEMA_VERSION, ClassifyResult, ExperimentConfig,
                           build_operator, candidate_orbit, parse_candidate,
                           run_classify, sweep_task)
-from .iterates import weight_iterates
 from .operators import NormSequence, orbit_norm_sequence, weight_norm_sequence
 from .series import AnalyticPoly
 from .spaces import SupSpace, parse_space, require_in_space
@@ -127,7 +127,7 @@ def _config_from_args(args) -> ExperimentConfig:
         return config
     candidates = [parse_candidate(c) for c in getattr(args, "candidates", None) or []]
     if not candidates:
-        candidates = [{"s": -0.4, "k": 0}]
+        candidates = ExperimentConfig().candidates
     phi_poly = None
     if getattr(args, "phi_poly", None):
         phi_poly = [float(p) for p in args.phi_poly.split(",")]
@@ -145,12 +145,12 @@ def _config_from_args(args) -> ExperimentConfig:
     )
 
 
-def _add_symbol_args(p: argparse.ArgumentParser, horizon_default: int = 500) -> None:
+def _add_symbol_args(p: argparse.ArgumentParser, horizon_default: int = DEFAULT_HORIZON) -> None:
     p.add_argument("--w", default="1", help="weight: 'lam*z', coefficient list 'c0,c1,..' or constant")
     p.add_argument("--phi-affine", dest="phi_affine", type=float, default=None,
                    help="a parameter of the affine self-map a*z + 1 - a")
     p.add_argument("--phi-poly", dest="phi_poly", default=None,
-                   help="polynomial self-map coefficients 'c0,c1,...' (grid-validated)")
+                   help="polynomial self-map coefficients 'c0,c1,...' (sup |phi| <= 1 proven)")
     p.add_argument("--space", default="h2", help="h<p>, bergman:<p>:<beta> or hinf")
     p.add_argument("--horizon", type=int, default=horizon_default)
     p.add_argument("--max-degree", dest="max_degree", type=int, default=None,
@@ -158,9 +158,10 @@ def _add_symbol_args(p: argparse.ArgumentParser, horizon_default: int = 500) -> 
 
 
 def _add_threshold_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--degree", type=int, default=1024, help="candidate truncation degree")
-    p.add_argument("--eps", type=float, default=1e-10)
-    p.add_argument("--growth-factor", dest="growth_factor", type=float, default=1e3)
+    p.add_argument("--degree", type=int, default=DEFAULT_DEGREE, help="candidate truncation degree")
+    p.add_argument("--eps", type=float, default=DEFAULT_EPSILON)
+    p.add_argument("--growth-factor", dest="growth_factor", type=float,
+                   default=DEFAULT_GROWTH_FACTOR)
     p.add_argument("--candidates", nargs="*", default=None,
                    help="candidate vectors, each 's=<exponent>[,k=<power>]'")
 
@@ -178,8 +179,7 @@ def _parse_grid(text: str) -> np.ndarray:
 def cmd_weights(args) -> int:
     config = _config_from_args(args)
     op = build_operator(config)
-    iterates = weight_iterates(op.w, op.phi, config.horizon, max_degree=config.max_degree)
-    seq = weight_norm_sequence(iterates, config.space_spec())
+    seq = weight_norm_sequence(op, config.space_spec(), config.horizon, config.max_degree)
     _emit(sequence_csv(seq), args.out)
     return 0
 
@@ -309,8 +309,7 @@ def cmd_preset(args) -> int:
         op = build_operator(config)
         spec = config.space_spec()
         # phi fixes 1, so every candidate takes the closed-form route.
-        files["weights.csv"] = sequence_csv(weight_norm_sequence(
-            weight_iterates(op.w, op.phi, config.horizon), spec))
+        files["weights.csv"] = sequence_csv(weight_norm_sequence(op, spec, config.horizon))
         n = np.arange(1, config.horizon + 1)
         for k in (0, 1, 2):
             seq = candidate_orbit(op, {"s": 0.25, "k": k}, spec, config.degree,
@@ -345,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weights", help="weight-iterate norm sequence as CSV")
     _add_symbol_args(p, horizon_default=50)
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_weights, degree=1024, eps=1e-10, growth_factor=1e3, candidates=None)
+    p.set_defaults(fn=cmd_weights, degree=DEFAULT_DEGREE, eps=DEFAULT_EPSILON,
+                   growth_factor=DEFAULT_GROWTH_FACTOR, candidates=None)
 
     p = sub.add_parser("orbit", help="orbit norm sequence for one candidate as CSV")
     _add_symbol_args(p)
@@ -377,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--space", default="h2")
-    p.add_argument("--degree", type=int, default=1024)
+    p.add_argument("--degree", type=int, default=DEFAULT_DEGREE)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_eigen)
 
@@ -385,12 +385,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=("weighted", "unweighted"))
     p.add_argument("--lam", type=float, default=0.9, help="weight scale (weighted preset)")
     p.add_argument("--a", type=float, default=0.25)
-    p.add_argument("--s", type=float, default=-0.4, help="candidate exponent (weighted preset)")
+    p.add_argument("--s", type=float, default=ExperimentConfig().candidates[0]["s"],
+                   help="candidate exponent (weighted preset)")
     p.add_argument("--space", default="h2")
-    p.add_argument("--degree", type=int, default=1024)
-    p.add_argument("--horizon", type=int, default=500)
-    p.add_argument("--eps", type=float, default=1e-10)
-    p.add_argument("--growth-factor", dest="growth_factor", type=float, default=1e3)
+    p.add_argument("--degree", type=int, default=DEFAULT_DEGREE)
+    p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
+    p.add_argument("--eps", type=float, default=DEFAULT_EPSILON)
+    p.add_argument("--growth-factor", dest="growth_factor", type=float,
+                   default=DEFAULT_GROWTH_FACTOR)
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.set_defaults(fn=cmd_preset)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 
 from .series import AnalyticPoly, binomial_series
-from .iterates import first_capped, weight_iterates
+from .iterates import first_capped
 from .symbols import SelfMapSymbol, WeightSymbol, affine_fixing_one, validate_self_map
 from .spaces import SpaceSpec, parse_space, require_in_space
 from .operators import (WeightedCompOp, NormSequence, orbit_norm_sequence,
@@ -202,8 +202,7 @@ def build_sequences(config: ExperimentConfig) -> tuple[NormSequence, list[NormSe
     spec = config.space_spec()
     for c in config.candidates:
         require_in_space(spec, c["s"])
-    weight_seq = weight_norm_sequence(
-        weight_iterates(op.w, op.phi, config.horizon, config.max_degree), spec)
+    weight_seq = weight_norm_sequence(op, spec, config.horizon, config.max_degree)
     orbits = [None if _capped_orbit(op, c, config) else
               candidate_orbit(op, c, spec, config.degree, config.horizon, config.max_degree)
               for c in config.candidates]

@@ -4,23 +4,26 @@ The n-th weight iterate is the product (w o phi^(n-1)) ... (w o phi) * w; it
 governs the n-th operator power through the identity T^n f = w(n) * (f o
 phi^n).  ``weight_iterates`` generates the sequence by the incremental
 recurrence w(n+1) = w(n) * (w o phi^n), one product per step instead of the
-literal n-fold product, and holds only the current iterate.  For an affine
-symbol the factors w o phi^n come from ``affine_compositions``: batched
+literal n-fold product, and holds only the current iterate.  Every f o phi^n
+in the package, the factors w o phi^n included, comes from one stream,
+``compositions``: for an affine symbol ``affine_compositions``, batched
 Horner passes over the closed-form coefficients of phi^n, a bounded chunk of
-n at a time.  Each product drops its trailing coefficients that are exactly
+n at a time; for a polynomial symbol the capped phi^n, one alive at a time.
+Each product drops its trailing coefficients that are exactly
 zero: in the usual case 1 - phi(z) = alpha (1 - z) with |alpha| < 1 the
 high coefficients of w(n) underflow to 0.0, so a step costs O(nonzero
 width), not O(n).  In doubles alpha^n is exactly 0.0 from a step
 N0 ~ 745.13 / ln(1/|alpha|) on, and phi^n is then one constant map: the
 factor stream repeats a single row [c, 0, ..., 0], and each later step
-takes w(n) * c instead of a product wherever the bits agree.
-``weight_iterate_sequence`` stores the same pairs in a list, for callers
-that index them or read them twice.
+takes w(n) * c instead of a product wherever the bits agree.  Whether the
+cap drops a term is not a per-step flag: ``first_capped`` decides it once
+for a whole sequence.  ``weight_iterate_sequence`` stores the iterates in a
+list, for callers that index them or read them twice.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -29,7 +32,7 @@ from .series import (SHORT_FACTOR_TAPS, AnalyticPoly, coeff_product, compose_aff
 from .spaces import BLOCK_BYTES
 from .symbols import SelfMapSymbol, WeightSymbol
 
-__all__ = ["affine_compositions", "first_capped", "weight_iterate_sequence",
+__all__ = ["affine_compositions", "compositions", "first_capped", "weight_iterate_sequence",
            "weight_iterates"]
 
 
@@ -85,13 +88,19 @@ def affine_compositions(f: AnalyticPoly, phi: SelfMapSymbol, horizon: int):
         yield from chunk
 
 
-def _factors(w: AnalyticPoly, phi: SelfMapSymbol, horizon: int, max_degree: int | None):
-    """Coefficients of w o phi^n for n = 1..horizon-1; a polynomial phi
-    composes into its capped iterates."""
+def compositions(f: AnalyticPoly, phi: SelfMapSymbol, horizon: int,
+                 max_degree: int | None = None):
+    """Stream the coefficients of f o phi^n for n = 1..horizon.
+
+    An affine phi takes ``affine_compositions``.  A polynomial phi needs
+    ``max_degree``, checked when the stream is made: each capped phi^n of
+    ``SelfMapSymbol.iterates`` is composed into f under the cap and
+    dropped, so one phi^n is alive at a time.
+    """
     if phi.kind == "affine":
-        return affine_compositions(w, phi, horizon - 1)
-    return (it.compose_into(w, max_degree=max_degree).coeffs
-            for it in phi.iterates(horizon, max_degree)[1:-1])
+        return affine_compositions(f, phi, horizon)
+    return (it.compose_into(f, max_degree=max_degree).coeffs
+            for it in islice(phi.iterates(horizon, max_degree), 1, None))
 
 
 def _scalar(factor, current):
@@ -109,13 +118,13 @@ def _scalar(factor, current):
     return c if ok else None
 
 
-def _steps(w: AnalyticPoly, factors, max_degree: int | None, capped_from: int):
-    """(w(n), n >= capped_from) by w(n+1) = w(n) * (w o phi^n), each w(n)
-    without its trailing exact zeros; a factor that the stream repeats
-    multiplies as a scalar where ``_scalar`` allows."""
-    yield w, capped_from <= 1
+def _steps(w: AnalyticPoly, factors, max_degree: int | None):
+    """w(n) by w(n+1) = w(n) * (w o phi^n), each without its trailing exact
+    zeros; a factor that the stream repeats multiplies as a scalar where
+    ``_scalar`` allows."""
+    yield w
     current, last, repeats, c = w.coeffs, None, False, None
-    for n, factor in enumerate(factors, start=2):
+    for factor in factors:
         if factor is not last:
             last, repeats, c = factor, False, None
         elif not repeats:
@@ -124,25 +133,22 @@ def _steps(w: AnalyticPoly, factors, max_degree: int | None, capped_from: int):
         if max_degree is not None:
             current = current[: max_degree + 1]
         current = trim_trailing_zeros(current)
-        yield AnalyticPoly._adopt(current), n >= capped_from
+        yield AnalyticPoly._adopt(current)
 
 
 def weight_iterates(w: WeightSymbol, phi: SelfMapSymbol, horizon: int,
                     max_degree: int | None = None):
-    """Stream (w(n), truncated) for n = 1..horizon, one iterate alive at a time.
-
-    ``truncated`` turns true with the first iterate from which the cap drops
-    a nonzero coefficient, of the product or of a symbol iterate it uses,
-    and stays true.  The symbol is checked when the stream is made, not when
-    it is first read.
+    """Stream w(n) for n = 1..horizon, one iterate alive at a time, capped
+    at ``max_degree``; ``first_capped`` tells from which n the cap drops a
+    nonzero coefficient.  The symbol is checked when the stream is made,
+    not when it is first read.
     """
     _require_iterable(phi, horizon)
     wp = w.poly.trimmed()
-    return _steps(wp, _factors(wp, phi, horizon, max_degree), max_degree,
-                  first_capped(w, phi, horizon, max_degree))
+    return _steps(wp, compositions(wp, phi, horizon - 1, max_degree), max_degree)
 
 
 def weight_iterate_sequence(w: WeightSymbol, phi: SelfMapSymbol, horizon: int,
-                            max_degree: int | None = None) -> list[tuple[AnalyticPoly, bool]]:
-    """The pairs of ``weight_iterates``, stored: w(n) is entry n - 1."""
+                            max_degree: int | None = None) -> list[AnalyticPoly]:
+    """The iterates of ``weight_iterates``, stored: w(n) is entry n - 1."""
     return list(weight_iterates(w, phi, horizon, max_degree))

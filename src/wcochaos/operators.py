@@ -2,9 +2,11 @@
 
 T f = w * (f o phi).  Powers are never applied step by step: the iterate
 identity T^n f = w(n) * (f o phi^n) gives every orbit element from one
-composition and one multiplication.  Nothing stores the iterates: weight
-norms and fixed-polynomial orbits read each w(n) once, in order, from the
-stream ``iterates.weight_iterates``.
+composition and one multiplication.  Nothing stores the iterates: every
+routine reads each w(n) once, in order, from ``iterates.weight_iterates``,
+and each f o phi^n from ``iterates.compositions``, the one stream of
+compositions, which holds a single phi^n at a time.  Whether the degree cap
+drops a term is decided once per sequence, by ``iterates.first_capped``.
 
 Two orbit routines are provided.  ``orbit_norm_sequence`` follows a fixed
 polynomial through the iterate identity.  ``eigen_orbit_norm_sequence``
@@ -16,7 +18,7 @@ uniform in n, whereas composing a truncated g_s directly loses the
 eigen-behaviour as soon as |alpha|^n * deg falls below 1 (the iterated map
 then no longer resolves the truncation scale).  The running product drops
 its trailing zeros each step, and its factors come batched from
-``iterates.affine_compositions``.  From the step N0 where alpha^n
+``iterates.compositions``.  From the step N0 where alpha^n
 underflows to 0.0, both factors are constant rows, a step is a fixed map
 of the product, and the product soon cycles: once it repeats one of the
 last two bitwise, the stored terms and peaks are replayed and no product
@@ -31,12 +33,11 @@ from __future__ import annotations
 
 import math
 from itertools import cycle, islice
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .iterates import affine_compositions, first_capped, weight_iterates
+from .iterates import compositions, first_capped, weight_iterates
 from .series import AnalyticPoly, coeff_product, binomial_series, trim_trailing_zeros
 from .spaces import SpaceSpec, require_in_space, space_norms, space_provenance
 from .symbols import SelfMapSymbol, WeightSymbol
@@ -61,46 +62,22 @@ class WeightedCompOp:
         if not self.phi.validated:
             raise ValueError("self-map must pass validate_self_map first")
 
-    def apply(self, f: AnalyticPoly, max_degree: int | None = None) -> AnalyticPoly:
-        """Single application w * (f o phi)."""
-        return self.w.poly * self.phi.compose_into(f, max_degree=max_degree)
-
-    def apply_n(self, f: AnalyticPoly, n: int, max_degree: int | None = None) -> AnalyticPoly:
-        """n-th power via the iterate identity T^n f = w(n) * (f o phi^n),
-        with w(n) and phi^n built for this n; a polynomial phi needs
-        ``max_degree``, which also caps the result."""
-        if n < 0:
-            raise ValueError("power must be nonnegative")
-        if n == 0:
-            return f
-        for wn, _ in weight_iterates(self.w, self.phi, n, max_degree):
-            pass  # the stream ends at w(n)
-        return _power(wn, self.phi.iterate(n, max_degree), f, max_degree)
-
-
-def _power(wn: AnalyticPoly, phi_n: SelfMapSymbol, f: AnalyticPoly,
-           max_degree: int | None) -> AnalyticPoly:
-    """w(n) * (f o phi^n), capped at ``max_degree`` when one is given."""
-    out = wn * phi_n.compose_into(f, max_degree=max_degree)
-    return out if max_degree is None else out.truncated(max_degree)
-
 
 @dataclass(frozen=True)
 class NormSequence:
     """Finite norm sequence v_1..v_T with provenance bookkeeping.
 
-    ``provenance`` is one of exact-coefficient, quadrature, bracket-lower;
     ``truncated`` marks values computed from capped arithmetic, which
-    certificates keep out of their tests.  ``upper`` is the upper side of
-    the H^inf bracket, whose lower side is ``values``; elsewhere it is
-    ``values`` itself, the same array.  ``log_values``, when a producer
-    tracks its scale in log space, holds log v_n even where v_n itself
-    leaves the double range.
+    certificates keep out of their tests; ``provenance``, one of
+    exact-coefficient, quadrature, bracket-lower, follows from it and the
+    space.  ``upper`` is the upper side of the H^inf bracket, whose lower
+    side is ``values``; elsewhere it is ``values`` itself, the same array.
+    ``log_values``, when a producer tracks its scale in log space, holds
+    log v_n even where v_n itself leaves the double range.
     """
 
     values: np.ndarray
     space: SpaceSpec
-    provenance: str
     label: str = ""
     truncated: bool = False
     log_values: np.ndarray | None = None
@@ -134,6 +111,10 @@ class NormSequence:
         return len(self.values)
 
     @property
+    def provenance(self) -> str:
+        return space_provenance(self.space, self.truncated)
+
+    @property
     def horizon(self) -> int:
         return len(self.values)
 
@@ -151,44 +132,37 @@ class NormSequence:
             return np.log(self.values)
 
 
-def weight_norm_sequence(iterates: Iterable[tuple[AnalyticPoly, bool]],
-                         spec: SpaceSpec) -> NormSequence:
-    """Norms of the weight iterates; equals the orbit of the constant 1.
+def weight_norm_sequence(op: WeightedCompOp, spec: SpaceSpec, horizon: int,
+                         max_degree: int | None = None) -> NormSequence:
+    """Norms of the weight iterates w(1..horizon); equals the orbit of the
+    constant 1.
 
-    ``iterates`` yields (w(n), truncated) pairs in order, as
-    ``iterates.weight_iterates`` does.  Each w(n) is read once, into the
-    blocks of ``spaces.space_norms``, and the last flag holds for the whole
-    sequence.
+    Each w(n) is read once from ``iterates.weight_iterates``, into the blocks
+    of ``spaces.space_norms``.
     """
-    truncated = False
-
-    def rows():
-        nonlocal truncated
-        for wn, truncated in iterates:
-            yield wn.coeffs
-
-    lower, upper = space_norms(rows(), spec)
-    return NormSequence(values=lower, upper=upper, space=spec,
-                        provenance=space_provenance(spec, truncated),
-                        label="weight-norm", truncated=truncated)
+    lower, upper = space_norms((wn.coeffs for wn in
+                                weight_iterates(op.w, op.phi, horizon, max_degree)), spec)
+    truncated = first_capped(op.w, op.phi, horizon, max_degree) <= horizon
+    return NormSequence(values=lower, upper=upper, space=spec, label="weight-norm",
+                        truncated=truncated)
 
 
 def orbit_norm_sequence(op: WeightedCompOp, f: AnalyticPoly, spec: SpaceSpec,
                         horizon: int, max_degree: int | None = None) -> NormSequence:
-    """Norms of T^n f for n = 1..horizon via the iterate identity.
+    """Norms of T^n f = w(n) * (f o phi^n) for n = 1..horizon, each capped
+    at ``max_degree``.
 
-    Each w(n) comes from the stream and is dropped after its step; every
-    element is capped as in ``WeightedCompOp.apply_n``.
+    w(n) and the coefficients of f o phi^n come from two streams, and both
+    are dropped after their step.
     """
     steps = zip(weight_iterates(op.w, op.phi, horizon, max_degree),
-                op.phi.iterates(horizon, max_degree)[1:])
-    lower, upper = space_norms((_power(wn, phi_n, f, max_degree).coeffs
-                                for (wn, _), phi_n in steps), spec)
+                compositions(f, op.phi, horizon, max_degree))
+    cap = None if max_degree is None else max_degree + 1
+    lower, upper = space_norms((coeff_product(wn.coeffs, fn)[:cap] for wn, fn in steps), spec)
     degree = f.trimmed().degree
     truncated = first_capped(op.w, op.phi, horizon, max_degree, degree) <= horizon
-    return NormSequence(values=lower, upper=upper, space=spec,
-                        provenance=space_provenance(spec, truncated),
-                        label=f"orbit deg={degree}", truncated=truncated)
+    return NormSequence(values=lower, upper=upper, space=spec, label=f"orbit deg={degree}",
+                        truncated=truncated)
 
 
 def eigen_orbit_norm_sequence(op: WeightedCompOp, s, degree: int, spec: SpaceSpec,
@@ -221,8 +195,8 @@ def eigen_orbit_norm_sequence(op: WeightedCompOp, s, degree: int, spec: SpaceSpe
             and phi.alpha.imag == 0 and phi.gamma.imag == 0)
     part = np.real if real else np.asarray
     g = part(binomial_series(s, degree).coeffs)
-    w_factors = affine_compositions(w, phi, horizon - 1)
-    z_powers = affine_compositions(AnalyticPoly.monomial(power), phi, horizon)
+    w_factors = compositions(w, phi, horizon - 1)
+    z_powers = compositions(AnalyticPoly.monomial(power), phi, horizon)
 
     def steps():
         """(orbit term n, log of the peak divided out of product n + 1), n = 1..horizon.
@@ -279,5 +253,5 @@ def eigen_orbit_norm_sequence(op: WeightedCompOp, s, degree: int, spec: SpaceSpe
     logs, vals = unscaled(lower)
     label = f"eigen-orbit s={s} k={power} D={degree}"
     return NormSequence(values=vals, upper=vals if upper is lower else unscaled(upper)[1],
-                        space=spec, provenance=space_provenance(spec), label=label,
+                        space=spec, label=label,
                         truncated=False, log_values=logs)

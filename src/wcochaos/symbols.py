@@ -52,10 +52,6 @@ class SelfMapSymbol:
     def identity(cls) -> "SelfMapSymbol":
         return cls.affine(1.0, 0.0)
 
-    @classmethod
-    def rotation(cls, theta: float) -> "SelfMapSymbol":
-        return cls.affine(np.exp(1j * theta), 0.0)
-
     def as_poly(self) -> AnalyticPoly:
         if self.kind == "affine":
             return AnalyticPoly([self.gamma, self.alpha])
@@ -80,7 +76,7 @@ class SelfMapSymbol:
         return abs(self.alpha + self.gamma - 1.0) <= 1e-12 * (1.0 + abs(self.alpha) + abs(self.gamma))
 
     def iterate(self, n: int, max_degree: int | None = None) -> "SelfMapSymbol":
-        """The n-fold iterate phi^n; polynomial symbols take it from ``iterates``.
+        """The n-fold iterate phi^n; a polynomial symbol takes the last of ``iterates``.
 
         Affine maps iterate in closed form: alpha**n together with
         gamma * (1 - alpha**n) / (1 - alpha) for alpha != 1 (and n*gamma when
@@ -89,7 +85,9 @@ class SelfMapSymbol:
         if n < 0:
             raise ValueError("iterate count must be nonnegative")
         if self.kind != "affine":
-            return self.iterates(n, max_degree)[n]
+            for it in self.iterates(n, max_degree):
+                pass  # the stream ends at phi^n
+            return it
         it = SelfMapSymbol.affine(*self._closed_form(n, self.fixes_one()))
         it.validated = self.validated
         return it
@@ -125,30 +123,34 @@ class SelfMapSymbol:
         pairs = np.array(pairs, dtype=np.complex128).reshape(-1, 2)
         return pairs[:, 0], pairs[:, 1]
 
-    def iterates(self, horizon: int, max_degree: int | None = None) -> list["SelfMapSymbol"]:
-        """phi^0, phi^1, ..., phi^horizon.
+    def iterates(self, horizon: int, max_degree: int | None = None):
+        """Stream phi^0, phi^1, ..., phi^horizon of a polynomial symbol, one
+        alive at a time.
 
-        Affine maps use the closed form of ``iterate``.  Polynomial symbols
-        need ``max_degree`` and follow phi^(n+1) = phi o phi^n under the cap:
-        with phi applied outermost, the terms a cap drops from phi^n only
-        reach degrees above the cap, so every stored coefficient is an exact
-        partial sum of the true iterate.
+        Affine maps iterate in closed form (``iterate``, ``affine_coefficients``)
+        and are refused here.  ``max_degree`` is required, checked when the
+        stream is made, and the stream follows phi^(n+1) = phi o phi^n under
+        the cap: with phi applied outermost, the terms a cap drops from phi^n
+        only reach degrees above the cap, so every coefficient kept is an
+        exact partial sum of the true iterate.
         """
         if horizon < 0:
             raise ValueError("iterate count must be nonnegative")
         if self.kind == "affine":
-            return [self.iterate(n) for n in range(horizon + 1)]
-        if horizon and max_degree is None:
+            raise ValueError("affine symbols iterate in closed form, not by recurrence")
+        if max_degree is None:
             raise ValueError("polynomial symbols need an explicit degree cap to iterate")
-        out = [SelfMapSymbol.identity()]
+        return self._capped_iterates(horizon, max_degree)
+
+    def _capped_iterates(self, horizon: int, max_degree: int):
         acc = self.poly
-        for n in range(1, horizon + 1):
+        for n in range(horizon + 1):
             if n > 1:
                 acc = compose(self.poly, acc, max_degree=max_degree)
-            out.append(SelfMapSymbol.polynomial(acc.truncated(max_degree)))
-        for it in out:
+            it = (SelfMapSymbol.identity() if n == 0 else
+                  SelfMapSymbol.polynomial(acc.truncated(max_degree)))
             it.validated = self.validated
-        return out
+            yield it
 
     def compose_into(self, f: AnalyticPoly, max_degree: int | None = None) -> AnalyticPoly:
         """f composed with this symbol, exact for affine symbols."""
@@ -210,7 +212,3 @@ class WeightSymbol:
     @classmethod
     def from_coeffs(cls, coeffs) -> "WeightSymbol":
         return cls.build(AnalyticPoly(coeffs))
-
-    @property
-    def bracket(self) -> tuple[float, float]:
-        return (self.sup_lower, self.sup_upper)

@@ -19,8 +19,9 @@ from wcochaos.series import AnalyticPoly, binomial_series
 from wcochaos.spaces import (Bergman, Hardy, SupSpace, coeff_norm_bergman2,
                              coeff_norm_h2, quad_norm_bergman_p, quad_norm_hp,
                              space_norm, sup_norm_bracket)
-from wcochaos.symbols import (SelfMapSymbol, WeightSymbol, affine_fixing_one,
-                              validate_self_map)
+from wcochaos.symbols import WeightSymbol, affine_fixing_one, validate_self_map
+
+from oracle import apply, apply_n, rotation
 
 
 def report(cid: str, failures: list, detail: str = "") -> None:
@@ -69,8 +70,8 @@ def test_criterion_2_iterate_identity():
         f = random_poly(rng, 16)
         seq = f
         for n in range(1, 13):
-            seq = op.apply(seq)
-            closed = op.apply_n(f, n)
+            seq = apply(op, seq)
+            closed = apply_n(op, f, n)
             m = max(len(closed.coeffs), len(seq.coeffs))
             gap = float(np.max(np.abs(closed.padded(m) - seq.padded(m))))
             scale = 1.0 + float(np.max(np.abs(seq.coeffs)))
@@ -88,8 +89,8 @@ def test_criterion_3_norm_domination_inequalities():
         op = make_op(rng.uniform(-1, 1, 3), a)
         n = int(rng.integers(1, 6))
         f = random_poly(rng, 8)
-        tf = op.apply_n(f, n)
-        wn = weight_iterate_sequence(op.w, op.phi, n)[-1][0]
+        tf = apply_n(op, f, n)
+        wn = weight_iterate_sequence(op.w, op.phi, n)[-1]
         f_sup_upper = f.coeff_abs_sum()
         for p in (1, 2, 3):
             if quad_norm_hp(tf, p) > quad_norm_hp(wn, p) * f_sup_upper * slack:
@@ -101,9 +102,9 @@ def test_criterion_3_norm_domination_inequalities():
                 failures.append(("bergman", i, p, beta))
         # sup-space identity: contraction for normalized f, equality at f = 1
         g = (1.0 / f_sup_upper) * f
-        if op.apply_n(g, n).coeff_abs_sum() > wn.coeff_abs_sum() * slack:
+        if apply_n(op, g, n).coeff_abs_sum() > wn.coeff_abs_sum() * slack:
             failures.append(("sup-contraction", i))
-        if op.apply_n(AnalyticPoly.one(), n).coeff_abs_sum() != wn.coeff_abs_sum():
+        if apply_n(op, AnalyticPoly.one(), n).coeff_abs_sum() != wn.coeff_abs_sum():
             failures.append(("sup-attainment", i))
     report("criterion 3 (norm domination inequalities)", failures)
 
@@ -144,10 +145,10 @@ def test_criterion_5_chaotic_preset():
 
 def test_criterion_6_controls():
     failures = []
-    phi = SelfMapSymbol.rotation(np.pi / 3)
+    phi = rotation(np.pi / 3)
     assert validate_self_map(phi)
     op = WeightedCompOp(WeightSymbol.from_coeffs([1.0]), phi)
-    ws = weight_norm_sequence(weight_iterates(op.w, op.phi, 200), Hardy(2))
+    ws = weight_norm_sequence(op, Hardy(2), 200)
     orbit = orbit_norm_sequence(op, binomial_series(-0.4, 256), Hardy(2), 200)
     li = certify_li_yorke(ws, [orbit])
     mean = certify_mean_li_yorke(ws, [orbit])
@@ -183,7 +184,7 @@ def test_criterion_7_unweighted_counterexample():
     target = np.log(2.0 ** (1.0 / 12.0))
     if abs(rate - target) > 0.2 * target:
         failures.append(("growth-rate", rate))
-    ws = weight_norm_sequence(weight_iterates(op.w, op.phi, horizon), Hardy(2))
+    ws = weight_norm_sequence(op, Hardy(2), horizon)
     if not np.all(ws.values == 1.0):
         failures.append(("weight-not-constant",))
     report("criterion 7 (unweighted counterexample)", failures,
@@ -194,7 +195,7 @@ def test_criterion_8_sup_norm_sequence():
     failures = []
     op = make_op([0, 0.6], 0.5)
     w_sup_upper = op.w.sup_upper  # = 0.6 exactly for this weight
-    for n, (wn, _) in enumerate(weight_iterates(op.w, op.phi, 50), start=1):
+    for n, wn in enumerate(weight_iterates(op.w, op.phi, 50), start=1):
         lower, upper = sup_norm_bracket(wn)
         if abs(lower - 0.6**n) > 1e-9 * 0.6**n:
             failures.append(("lower", n, lower))
@@ -240,7 +241,7 @@ def test_criterion_9_property_harness():
     # threshold monotonicity of the certificate (180 cases)
     for _ in range(180):
         v = np.exp(rng.normal(scale=rng.uniform(0.5, 20), size=50))
-        ws = NormSequence(values=v, space=Hardy(2), provenance="exact-coefficient")
+        ws = NormSequence(values=v, space=Hardy(2))
         eps, g = float(rng.uniform(1e-12, 1e2)), float(rng.uniform(1.5, 1e4))
         before = certify_li_yorke(ws, [], epsilon=eps, growth_factor=g)
         after = certify_li_yorke(ws, [], epsilon=eps * 7, growth_factor=max(1.0001, g / 7))
@@ -251,7 +252,7 @@ def test_criterion_9_property_harness():
     # witness reproducibility, plain and averaged (180 cases)
     for _ in range(180):
         v = np.exp(rng.normal(scale=rng.uniform(1, 18), size=60))
-        ws = NormSequence(values=v, space=Hardy(2), provenance="exact-coefficient")
+        ws = NormSequence(values=v, space=Hardy(2))
         li = certify_li_yorke(ws, [])
         if li.decay is not None and v[li.decay.index - 1] != li.decay.value:
             failures.append(("witness-decay",))

@@ -14,7 +14,7 @@ import pytest
 from wcochaos import iterates, operators, spaces
 from wcochaos.experiments import ExperimentConfig, build_operator
 from wcochaos.iterates import affine_compositions, weight_iterates
-from wcochaos.operators import eigen_orbit_norm_sequence, weight_norm_sequence
+from wcochaos.operators import WeightedCompOp, eigen_orbit_norm_sequence, weight_norm_sequence
 from wcochaos.series import (AnalyticPoly, binomial_series, coeff_product, compose_affine,
                              compose_affine_rows, trim_trailing_zeros)
 from wcochaos.spaces import Bergman, Hardy, SupSpace, space_norm, space_norms, sup_norm_bracket
@@ -164,18 +164,18 @@ class TestLongHorizons:
     def test_trimmed_iterate_is_short_and_equal(self):
         op = build_operator(ExperimentConfig(weight="0.9*z", phi_affine=0.25))
         stream = list(weight_iterates(op.w, op.phi, 3000))
-        w3000 = stream[-1][0]
+        w3000 = stream[-1]
         assert len(w3000.coeffs) <= 64
         for n, reference in enumerate(untrimmed_weights(op.w.poly, op.phi, 3000), start=1):
             if n in (1, 2, 50, 1000, 3000):
-                assert stream[n - 1][0] == reference
+                assert stream[n - 1] == reference
         assert len(reference.coeffs) == 3001
 
     @pytest.mark.parametrize("space", ["h2", "hinf", "bergman:2:0.5"])
     def test_weight_norms_at_h3000(self, space):
         op = build_operator(ExperimentConfig(weight="0.95*z", phi_affine=0.3))
         spec = spaces.parse_space(space)
-        seq = weight_norm_sequence(weight_iterates(op.w, op.phi, 3000), spec)
+        seq = weight_norm_sequence(op, spec, 3000)
         reference = list(untrimmed_weights(op.w.poly, op.phi, 3000))
         want = np.array([space_norm(wn, spec) for wn in reference])
         np.testing.assert_allclose(seq.values, want, rtol=1e-14, atol=0)
@@ -269,8 +269,10 @@ class TestCollapsedIterates:
         self.check_weights(AnalyticPoly([0.0, 0.95]), affine(a), 3000)
 
     @pytest.mark.parametrize("coeffs", [[0.5, 0.3j], [0.2, 0.1, 0.3, 0.1, 0.2, 0.05],
-                                        [0.2, 0.1j, 0.3, 0.1, 0.2j, 0.05]],
-                             ids=["complex", "degree-5", "complex-degree-5"])
+                                        [0.2, 0.1j, 0.3, 0.1, 0.2j, 0.05], [0.0, 1.2],
+                                        [0.5, 0.9j], [1.05, 0.1j, 0.2, 0.1, 0.1j, 0.05]],
+                             ids=["complex", "degree-5", "complex-degree-5", "growing",
+                                  "growing-complex", "growing-complex-degree-5"])
     def test_other_weight_streams_match_the_step_loop(self, coeffs):
         self.check_weights(AnalyticPoly(coeffs), affine(0.15), 1500)
 
@@ -280,13 +282,13 @@ class TestCollapsedIterates:
         stream = list(weight_iterates(w, phi, horizon))
         steps = list(stepped_weights(w.poly.trimmed(), phi, horizon))
         assert len(stream) == len(steps) == horizon
-        for (got, _), want in zip(stream, steps):
+        for got, want in zip(stream, steps):
             assert np.array_equal(got.coeffs, want)  # the sign of a zero may differ
         for spec in (Hardy(2.0), SupSpace()):
-            got = weight_norm_sequence(iter(stream), spec)
-            want = weight_norm_sequence(((AnalyticPoly(c), False) for c in steps), spec)
-            assert np.array_equal(got.values, want.values)
-            assert np.array_equal(got.upper, want.upper)
+            got = weight_norm_sequence(WeightedCompOp(w, phi), spec, horizon)
+            lower, upper = space_norms(iter(steps), spec)
+            assert np.array_equal(got.values, lower)
+            assert np.array_equal(got.upper, upper)
 
     @pytest.mark.parametrize("lam,a,s,power", [(0.95, 0.3, -0.2, 0), (0.95, 0.3, -0.2, 1),
                                                (0.7, 0.2, -0.3, 2), (0.8609, 0.3998, -0.1532, 0),
@@ -323,3 +325,14 @@ class TestCollapsedIterates:
         n0 = collapse_step(op.phi)
         eigen_orbit_norm_sequence(op, -0.1532, 256, Hardy(2.0), 3000, power=1)
         assert calls.count("eigen") <= 2 * (n0 + 3)
+
+    def test_overflowing_weights_keep_the_full_products(self):
+        # 1.3^n leaves the double range before n = 3000.  The full product
+        # turns an inf next to a zero into NaN, and so must the stream.
+        w, phi = WeightSymbol.build(AnalyticPoly([0.0, 1.3])), affine(0.3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stream = list(weight_iterates(w, phi, 3000))
+            steps = list(stepped_weights(w.poly, phi, 3000))
+        assert np.isnan(steps[-1]).any()
+        for got, want in zip(stream, steps):
+            assert np.array_equal(got.coeffs, want, equal_nan=True)

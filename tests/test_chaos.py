@@ -8,19 +8,19 @@ import pytest
 from wcochaos.chaos import (certify_li_yorke, certify_mean_li_yorke,
                             decay_window, eigen_residual, fit_window,
                             growth_rate_fit, sequence_stats)
-from wcochaos.iterates import weight_iterates
 from wcochaos.operators import (NormSequence, WeightedCompOp,
                                 eigen_orbit_norm_sequence, orbit_norm_sequence,
                                 weight_norm_sequence)
 from wcochaos.series import binomial_series
 from wcochaos.spaces import Bergman, Hardy, SupSpace
-from wcochaos.symbols import (SelfMapSymbol, WeightSymbol, affine_fixing_one,
-                              validate_self_map)
+from wcochaos.symbols import WeightSymbol, affine_fixing_one, validate_self_map
+
+from oracle import rotation
 
 
-def synth(values, provenance="exact-coefficient", truncated=False):
-    return NormSequence(values=np.asarray(values, dtype=float), space=Hardy(2),
-                        provenance=provenance, label="synthetic", truncated=truncated)
+def synth(values, truncated=False, space=Hardy(2)):
+    return NormSequence(values=np.asarray(values, dtype=float), space=space,
+                        label="synthetic", truncated=truncated)
 
 
 def make_op(w_coeffs, a):
@@ -85,10 +85,10 @@ class TestIrregularWitness:
 
 class TestCertifyLiYorke:
     def test_rotation_control_no_evidence(self):
-        phi = SelfMapSymbol.rotation(np.pi / 3)
+        phi = rotation(np.pi / 3)
         assert validate_self_map(phi)
         op = WeightedCompOp(WeightSymbol.from_coeffs([1.0]), phi)
-        ws = weight_norm_sequence(weight_iterates(op.w, op.phi, 200), Hardy(2))
+        ws = weight_norm_sequence(op, Hardy(2), 200)
         orbit = orbit_norm_sequence(op, binomial_series(-0.4, 64), Hardy(2), 200)
         verdict = certify_li_yorke(ws, [orbit])
         assert verdict.kind == "NO_EVIDENCE"
@@ -96,7 +96,7 @@ class TestCertifyLiYorke:
 
     def test_weighted_eigen_family_yields_evidence(self):
         op = make_op([0, 0.9], 0.25)
-        ws = weight_norm_sequence(weight_iterates(op.w, op.phi, 500), Hardy(2))
+        ws = weight_norm_sequence(op, Hardy(2), 500)
         orbit = eigen_orbit_norm_sequence(op, -0.4, 1024, Hardy(2), 500)
         # frozen crossing indices from a direct run of both sequences
         assert int(np.argmax(ws.values < 1e-10)) + 1 == 216
@@ -110,7 +110,7 @@ class TestCertifyLiYorke:
         # lam = 0.6 < sqrt(0.5): the weight norms vanish but the candidate
         # orbit decays (rate 0.6 * 2^0.4 < 1), so growth never fires
         op = make_op([0, 0.6], 0.5)
-        ws = weight_norm_sequence(weight_iterates(op.w, op.phi, 500), Hardy(2))
+        ws = weight_norm_sequence(op, Hardy(2), 500)
         orbit = eigen_orbit_norm_sequence(op, -0.4, 1024, Hardy(2), 500)
         verdict = certify_li_yorke(ws, [orbit])
         assert verdict.kind == "INCONCLUSIVE"
@@ -135,13 +135,15 @@ class TestCertifyLiYorke:
         with pytest.raises(ValueError, match="capped"):
             certify_li_yorke(synth(v, truncated=True), [])
         # A lower-bound tag alone is no refusal: decay reads the upper side.
-        verdict = certify_li_yorke(synth(np.r_[v, 1e-31], provenance="bracket-lower"), [])
+        lower = synth(np.r_[v, 1e-31], space=SupSpace())
+        assert lower.provenance == "bracket-lower"
+        verdict = certify_li_yorke(lower, [])
         assert verdict.decay is not None
 
     def test_capped_orbit_stays_out_of_the_growth_scan(self):
         v = 0.5 ** np.arange(1, 50)
         grows = 2.0 ** np.arange(49)
-        capped = synth(grows, provenance="bracket-lower", truncated=True)
+        capped = synth(grows, truncated=True)
         for certify in (certify_li_yorke, certify_mean_li_yorke):
             assert certify(synth(v), [synth(grows)]).growth.orbit == 0
             assert certify(synth(v), [capped]).growth is None
@@ -149,7 +151,7 @@ class TestCertifyLiYorke:
 
     def test_skipped_orbits_are_named_in_the_citation(self):
         v = np.full(49, 1e-11)  # below epsilon throughout: decay fires
-        capped = synth(2.0 ** np.arange(49), provenance="bracket-lower", truncated=True)
+        capped = synth(2.0 ** np.arange(49), truncated=True)
         for certify in (certify_li_yorke, certify_mean_li_yorke):
             plain = certify(synth(np.ones(49)), [synth(np.ones(49))]).citation
             assert "not scanned" not in plain
@@ -190,7 +192,7 @@ class TestCertifyLiYorke:
 
 def bracketed(lower, upper):
     return NormSequence(values=np.asarray(lower, dtype=float), upper=np.asarray(upper, dtype=float),
-                        space=SupSpace(), provenance="bracket-lower", label="bracketed")
+                        space=SupSpace(), label="bracketed")
 
 
 class TestBracketSides:
@@ -250,7 +252,7 @@ class TestCertifyMeanLiYorke:
 
     def test_weighted_eigen_family_yields_mean_evidence(self):
         op = make_op([0, 0.9], 0.25)
-        ws = weight_norm_sequence(weight_iterates(op.w, op.phi, 500), Hardy(2))
+        ws = weight_norm_sequence(op, Hardy(2), 500)
         orbit = eigen_orbit_norm_sequence(op, -0.4, 1024, Hardy(2), 500)
         verdict = certify_mean_li_yorke(ws, [orbit])
         assert verdict.kind == "MEAN_LI_YORKE_EVIDENCE"
@@ -275,7 +277,7 @@ class TestCertifyMeanLiYorke:
 
     def test_subcritical_family_inconclusive(self):
         op = make_op([0, 0.6], 0.5)
-        ws = weight_norm_sequence(weight_iterates(op.w, op.phi, 400), Hardy(2))
+        ws = weight_norm_sequence(op, Hardy(2), 400)
         orbit = eigen_orbit_norm_sequence(op, -0.4, 512, Hardy(2), 400)
         verdict = certify_mean_li_yorke(ws, [orbit])
         assert verdict.kind == "INCONCLUSIVE"

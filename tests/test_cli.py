@@ -20,7 +20,7 @@ def read_csv(path):
 
 def refuse_iterates(monkeypatch, no_work):
     """Route every stream of weight iterates in the package to ``no_work``."""
-    for module in (cli, experiments, iterates, operators):
+    for module in (iterates, operators):
         monkeypatch.setattr(module, "weight_iterates", no_work)
 
 
@@ -126,7 +126,7 @@ def test_csv_renders_each_distinct_float_as_repr():
     rng = np.random.default_rng(3)
     v = np.repeat(rng.random(40), 3)  # repeats in every column
     v[[0, 5, 9]] = [0.0, 5e-324, 1e308]
-    seq = NormSequence(values=v, space=Hardy(2.0), provenance="exact-coefficient")
+    seq = NormSequence(values=v, space=Hardy(2.0))
     bound = rng.normal(size=len(v))
     bound[:6] = [0.0, -0.0, -0.0, 2.2250738585072014e-308, -1e308, 1e-310]
     extra = {"bound": bound}

@@ -22,9 +22,8 @@ def validated(a):
 
 
 def stored(w, phi, horizon, max_degree=None):
-    """{n: w(n)} for n = 1..horizon, from the stored pairs."""
-    pairs = weight_iterate_sequence(w, phi, horizon, max_degree)
-    return {n: wn for n, (wn, _) in enumerate(pairs, start=1)}
+    """{n: w(n)} for n = 1..horizon, from the stored iterates."""
+    return dict(enumerate(weight_iterate_sequence(w, phi, horizon, max_degree), start=1))
 
 
 def test_constant_weight_stays_one():
@@ -108,8 +107,9 @@ def test_capped_run_records_truncation():
     w = WeightSymbol.from_coeffs([0, 0.5])
     full = weight_iterate_sequence(w, validated(0.5), 10)
     capped = weight_iterate_sequence(w, validated(0.5), 10, max_degree=3)
-    assert capped[-1][1] and not full[-1][1]
-    for (cn, _), (fn, _) in zip(capped, full):
+    assert first_capped(w, validated(0.5), 10, 3) <= 10
+    assert first_capped(w, validated(0.5), 10, None) > 10
+    for cn, fn in zip(capped, full):
         assert cn == fn.truncated(3)
 
 
@@ -120,11 +120,10 @@ def test_polynomial_symbol_requires_cap_and_flags():
     with pytest.raises(ValueError):
         weight_iterate_sequence(w, phi, 4)
     # deg w(n) = 2^n - 1: 15 at n = 4 stays below the cap, 63 at n = 6 passes it.
-    assert not weight_iterate_sequence(w, phi, 4, max_degree=40)[-1][1]
-    pairs = weight_iterate_sequence(w, phi, 6, max_degree=40)
-    assert pairs[-1][1]
+    assert first_capped(w, phi, 4, 40) > 4
+    assert first_capped(w, phi, 6, 40) <= 6
     # w(2) = (w o phi) * w = 0.8 z^2 * z = 0.8 z^3, below the cap hence exact
-    assert pairs[1][0] == AnalyticPoly.monomial(3, 0.8)
+    assert weight_iterate_sequence(w, phi, 6, max_degree=40)[1] == AnalyticPoly.monomial(3, 0.8)
 
 
 def test_first_capped_follows_exact_degrees():
@@ -149,7 +148,7 @@ def test_orbit_flag_counts_the_vector_degree():
     phi = SelfMapSymbol.polynomial(AnalyticPoly([0.3, 0, 0.5]))
     assert validate_self_map(phi)
     op = WeightedCompOp(WeightSymbol.from_coeffs([0, 0.9]), phi)
-    assert not weight_iterate_sequence(op.w, phi, 4, max_degree=16)[-1][1]
+    assert first_capped(op.w, phi, 4, 16) > 4
     assert not orbit_norm_sequence(op, AnalyticPoly.one(), Hardy(2), 4, 16).truncated
     cut = orbit_norm_sequence(op, AnalyticPoly.monomial(3), Hardy(2), 4, 16)
     assert cut.truncated and cut.provenance == "bracket-lower"
@@ -159,6 +158,6 @@ def test_capped_polynomial_iterates_are_exact_partial_sums():
     # phi = 0.3 + 0.5 z^2: the exact phi^3 starts 0.3595125 + 0.05175 z^2 + ...
     phi = SelfMapSymbol.polynomial(AnalyticPoly([0.3, 0, 0.5]))
     assert validate_self_map(phi)
-    for it in (phi.iterate(3, max_degree=2), phi.iterates(3, max_degree=2)[3]):
+    for it in (phi.iterate(3, max_degree=2), list(phi.iterates(3, max_degree=2))[3]):
         assert np.allclose(it.poly.coeffs, [0.3595125, 0, 0.05175], rtol=0, atol=1e-15)
 

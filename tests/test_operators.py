@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wcochaos.iterates import weight_iterate_sequence, weight_iterates
+from wcochaos.iterates import weight_iterate_sequence
 from wcochaos.series import AnalyticPoly, binomial_series
 from wcochaos.symbols import SelfMapSymbol, WeightSymbol, affine_fixing_one, validate_self_map
 from wcochaos.operators import (NormSequence, WeightedCompOp,
@@ -11,6 +11,8 @@ from wcochaos.operators import (NormSequence, WeightedCompOp,
                                 weight_norm_sequence)
 from wcochaos.spaces import (Bergman, Hardy, SupSpace, coeff_norm_h2, quad_norm_bergman_p,
                              quad_norm_hp)
+
+from oracle import apply, apply_n, rotation
 
 
 def gap(f, g):
@@ -26,38 +28,37 @@ def make_op(w_coeffs, a):
 
 def weights_by_n(op, horizon):
     """{n: w(n)} for n = 1..horizon."""
-    pairs = weight_iterate_sequence(op.w, op.phi, horizon)
-    return {n: wn for n, (wn, _) in enumerate(pairs, start=1)}
+    return dict(enumerate(weight_iterate_sequence(op.w, op.phi, horizon), start=1))
 
 
 class TestApplyN:
     def test_plain_composition_when_weight_is_one(self):
         op = make_op([1.0], 0.5)
         f = AnalyticPoly([1, 2, 3])
-        assert op.apply_n(f, 1) == op.phi.compose_into(f)
+        assert apply_n(op, f, 1) == op.phi.compose_into(f)
 
     def test_constant_one_recovers_weight_iterates(self):
         op = make_op([0.3, 0.4], 0.25)
         weights = weights_by_n(op, 6)
         for n in (1, 3, 6):
-            assert op.apply_n(AnalyticPoly.one(), n) == weights[n]
+            assert apply_n(op, AnalyticPoly.one(), n) == weights[n]
 
     def test_eigen_relation_cubed(self):
         # (1 - z)^2 is an exact eigenvector of the unweighted operator with
         # a = 0.5: three applications scale it by 0.5^6 = 0.015625.
         op = make_op([1.0], 0.5)
         f = AnalyticPoly([1, -1]) * AnalyticPoly([1, -1])
-        assert op.apply_n(f, 3) == 0.015625 * f
+        assert apply_n(op, f, 3) == 0.015625 * f
 
     def test_zero_power_is_identity(self):
         op = make_op([0, 0.9], 0.25)
         f = AnalyticPoly([1, 1j])
-        assert op.apply_n(f, 0) is f
+        assert apply_n(op, f, 0) is f
 
     def test_power_bounds(self):
         op = make_op([0, 0.9], 0.25)
         with pytest.raises(ValueError):
-            op.apply_n(AnalyticPoly.one(), -1)
+            apply_n(op, AnalyticPoly.one(), -1)
 
     def test_capped_power_is_the_orbit_element(self):
         # A polynomial map needs a cap; under it, apply_n and the streamed
@@ -67,10 +68,10 @@ class TestApplyN:
         op = WeightedCompOp(WeightSymbol.from_coeffs([0, 0.9]), phi)
         f = AnalyticPoly([1, -0.5, 0.25])
         with pytest.raises(ValueError, match="degree cap"):
-            op.apply_n(f, 2)
+            apply_n(op, f, 2)
         seq = orbit_norm_sequence(op, f, Hardy(2), 7, max_degree=40)
         for n in range(1, 8):
-            power = op.apply_n(f, n, max_degree=40)
+            power = apply_n(op, f, n, max_degree=40)
             assert power.trimmed().degree <= 40
             assert seq.value(n) == coeff_norm_h2(power)
 
@@ -87,8 +88,8 @@ class TestApplyN:
             f = AnalyticPoly(rng.uniform(-1, 1, 17) + 1j * rng.uniform(-1, 1, 17))
             seq = f
             for n in range(1, 13):
-                seq = op.apply(seq)
-                closed = op.apply_n(f, n)
+                seq = apply(op, seq)
+                closed = apply_n(op, f, n)
                 scale = 1.0 + float(np.max(np.abs(seq.coeffs)))
                 assert gap(closed, seq) <= 1e-12 * scale
 
@@ -105,7 +106,7 @@ class TestNormInequalities:
             f_sup_upper = f.coeff_abs_sum()
             for p in (1, 2, 3):
                 for n in (1, 3, 6):
-                    lhs = quad_norm_hp(op.apply_n(f, n), p)
+                    lhs = quad_norm_hp(apply_n(op, f, n), p)
                     rhs = quad_norm_hp(weights[n], p) * f_sup_upper
                     assert lhs <= rhs * (1 + 1e-9)
 
@@ -118,7 +119,7 @@ class TestNormInequalities:
             f_sup_upper = f.coeff_abs_sum()
             for p, beta in ((2, 0.0), (2, 1.0), (3, -0.5)):
                 for n in (1, 4):
-                    lhs = quad_norm_bergman_p(op.apply_n(f, n), p, beta)
+                    lhs = quad_norm_bergman_p(apply_n(op, f, n), p, beta)
                     rhs = quad_norm_bergman_p(weights[n], p, beta) * f_sup_upper
                     assert lhs <= rhs * (1 + 1e-9)
 
@@ -132,10 +133,10 @@ class TestNormInequalities:
             f = AnalyticPoly(rng.uniform(-1, 1, 6))
             f = (1.0 / f.coeff_abs_sum()) * f
             for n in (1, 4, 8):
-                upper = op.apply_n(f, n).coeff_abs_sum()
+                upper = apply_n(op, f, n).coeff_abs_sum()
                 assert upper <= weights[n].coeff_abs_sum() * (1 + 1e-9)
         for n in (1, 4, 8):
-            attained = op.apply_n(AnalyticPoly.one(), n).coeff_abs_sum()
+            attained = apply_n(op, AnalyticPoly.one(), n).coeff_abs_sum()
             assert attained == weights[n].coeff_abs_sum()
 
 
@@ -149,7 +150,7 @@ class TestOrbitSequences:
         assert np.allclose(seq.values, coeff_norm_h2(f), rtol=1e-14)
 
     def test_rotation_isometry_constant_orbit(self):
-        phi = SelfMapSymbol.rotation(np.pi / 3)
+        phi = rotation(np.pi / 3)
         assert validate_self_map(phi)
         op = WeightedCompOp(WeightSymbol.from_coeffs([1.0]), phi)
         f = AnalyticPoly([1, 1j, -2])
@@ -175,47 +176,46 @@ class TestOrbitSequences:
 
     def test_weight_norm_sequence_is_orbit_of_one(self):
         op = make_op([0, 0.8, 0.1], 0.3)
-        ws = weight_norm_sequence(weight_iterates(op.w, op.phi, 15), Hardy(2))
+        ws = weight_norm_sequence(op, Hardy(2), 15)
         orbit_one = orbit_norm_sequence(op, AnalyticPoly.one(), Hardy(2), 15)
         assert np.array_equal(ws.values, orbit_one.values)
 
     def test_constant_weight_norm_sequence(self):
         op = make_op([1.0], 0.5)
-        pairs = weight_iterate_sequence(op.w, op.phi, 10)
         for spec in (Hardy(2), Bergman(2, 1.0)):
-            seq = weight_norm_sequence(pairs, spec)
+            seq = weight_norm_sequence(op, spec, 10)
             assert np.allclose(seq.values, 1.0, rtol=1e-14)
 
     def test_sup_lower_sequence_is_exact_geometric(self):
         op = make_op([0, 0.6], 0.5)
-        seq = weight_norm_sequence(weight_iterates(op.w, op.phi, 60), SupSpace())
+        seq = weight_norm_sequence(op, SupSpace(), 60)
         expected = 0.6 ** np.arange(1, 61)
         for side in (seq.values, seq.upper):
             assert np.max(np.abs(side - expected) / expected) <= 1e-9
 
     def test_h2_weight_sequence_tracks_geometric_rate(self):
         op = make_op([0, 0.6], 0.5)
-        seq = weight_norm_sequence(weight_iterates(op.w, op.phi, 200), Hardy(2))
+        seq = weight_norm_sequence(op, Hardy(2), 200)
         ratio = seq.values / 0.6 ** np.arange(1, 201)
         assert np.all(ratio <= 1 + 1e-12)
         assert ratio.min() > 0.55  # frozen: measured 0.586
 
     def test_provenance_tags(self):
         op = make_op([0, 0.9], 0.25)
-        pairs = weight_iterate_sequence(op.w, op.phi, 5)
-        assert weight_norm_sequence(pairs, Hardy(2)).provenance == "exact-coefficient"
-        assert weight_norm_sequence(pairs, Hardy(1)).provenance == "quadrature"
-        assert weight_norm_sequence(pairs, SupSpace()).provenance == "bracket-lower"
-        capped = weight_iterates(op.w, op.phi, 5, max_degree=2)
-        seq = weight_norm_sequence(capped, Hardy(2))
+        assert weight_norm_sequence(op, Hardy(2), 5).provenance == "exact-coefficient"
+        assert weight_norm_sequence(op, Hardy(1), 5).provenance == "quadrature"
+        assert weight_norm_sequence(op, SupSpace(), 5).provenance == "bracket-lower"
+        seq = weight_norm_sequence(op, Hardy(2), 5, max_degree=2)
         assert seq.provenance == "bracket-lower" and seq.truncated
+        # The tag follows the space and the flag, so the two cannot disagree.
+        assert NormSequence(values=seq.values, space=Hardy(2)).provenance == "exact-coefficient"
 
     def test_norm_sequence_validation(self):
         with pytest.raises(ValueError):
-            NormSequence(values=np.array([]), space=Hardy(2), provenance="quadrature")
+            NormSequence(values=np.array([]), space=Hardy(2))
         with pytest.raises(ValueError):
-            NormSequence(values=np.array([-1.0]), space=Hardy(2), provenance="quadrature")
-        seq = NormSequence(values=np.array([1.0, 2.0]), space=Hardy(2), provenance="quadrature")
+            NormSequence(values=np.array([-1.0]), space=Hardy(2))
+        seq = NormSequence(values=np.array([1.0, 2.0]), space=Hardy(2))
         assert seq.value(2) == 2.0
         with pytest.raises(ValueError):
             seq.value(3)
@@ -223,9 +223,8 @@ class TestOrbitSequences:
     def test_norm_sequence_rejects_nan_but_keeps_inf(self):
         values = np.array([1.0, np.inf, np.nan, np.nan])
         with pytest.raises(ValueError, match=r"'weight-norm' has its first NaN at n=3"):
-            NormSequence(values=values, space=Hardy(2), provenance="quadrature",
-                         label="weight-norm")
-        seq = NormSequence(values=values[:2], space=Hardy(2), provenance="quadrature")
+            NormSequence(values=values, space=Hardy(2), label="weight-norm")
+        seq = NormSequence(values=values[:2], space=Hardy(2))
         assert seq.value(2) == np.inf
 
 
@@ -253,7 +252,7 @@ class TestEigenOrbit:
         assert slope == pytest.approx(np.log(0.9 * 0.25**-0.4), rel=1e-3)
 
     def test_requires_fixed_point_one(self):
-        phi = SelfMapSymbol.rotation(0.5)
+        phi = rotation(0.5)
         assert validate_self_map(phi)
         op = WeightedCompOp(WeightSymbol.from_coeffs([1.0]), phi)
         with pytest.raises(ValueError):

@@ -59,7 +59,7 @@ class TestCoefficientNorms:
         # |w(n)| ~ 0.9^n reaches ~1e-165 at n = 3600: the squares of the
         # coefficients are subnormal long before that.
         op = build_operator(ExperimentConfig(weight="0.9*z", phi_affine=0.25))
-        tail = [wn for wn, _ in weight_iterate_sequence(op.w, op.phi, 3600)[3399:]]
+        tail = weight_iterate_sequence(op.w, op.phi, 3600)[3399:]
         for norm in (coeff_norm_h2, lambda f: coeff_norm_bergman2(f, 0.5)):
             v = np.array([norm(wn) for wn in tail])
             assert np.all(v > 0)

@@ -1,4 +1,4 @@
-"""Streamed weight iterates: no stored w(n) on any path that reads them in order."""
+"""Streamed iterates: no stored w(n) or phi^n on any path that reads them in order."""
 
 import tracemalloc
 
@@ -8,7 +8,7 @@ import pytest
 import wcochaos
 from wcochaos import cli, experiments, iterates, operators
 from wcochaos.cli import main
-from wcochaos.iterates import weight_iterate_sequence, weight_iterates
+from wcochaos.iterates import compositions, first_capped, weight_iterate_sequence, weight_iterates
 from wcochaos.operators import WeightedCompOp, orbit_norm_sequence, weight_norm_sequence
 from wcochaos.series import AnalyticPoly
 from wcochaos.spaces import Hardy
@@ -26,20 +26,19 @@ def validated(a):
 class TestStream:
     def test_truncated_turns_on_at_the_first_capped_iterate(self):
         # w = 0.5 z: w(n) has degree n, so the cap 3 first cuts w(4).
-        flags = [t for _, t in weight_iterates(WeightSymbol.from_coeffs([0, 0.5]),
-                                               validated(0.5), 6, max_degree=3)]
-        assert flags == [False, False, False, True, True, True]
-        capped = weight_iterate_sequence(WeightSymbol.from_coeffs([0, 0.5]), validated(0.5),
-                                         6, max_degree=3)
-        assert capped[-1][1]
+        w = WeightSymbol.from_coeffs([0, 0.5])
+        assert first_capped(w, validated(0.5), 6, 3) == 4
+        op = WeightedCompOp(w, validated(0.5))
+        assert not weight_norm_sequence(op, Hardy(2), 3, max_degree=3).truncated
+        assert weight_norm_sequence(op, Hardy(2), 6, max_degree=3).truncated
 
     def test_polynomial_symbols_are_truncated_once_the_cap_drops_terms(self):
         # deg w(n) = 2^n - 1 for w = z and phi = 0.8 z^2: 31 at n = 5, 63 at n = 6.
         phi = SelfMapSymbol.polynomial(AnalyticPoly([0, 0, 0.8]))
         assert validate_self_map(phi)
-        pairs = list(weight_iterates(WeightSymbol.from_coeffs([0, 1.0]), phi, 7, max_degree=40))
-        assert [t for _, t in pairs] == [False] * 5 + [True, True]
-        assert pairs[1][0] == AnalyticPoly.monomial(3, 0.8)
+        w = WeightSymbol.from_coeffs([0, 1.0])
+        assert first_capped(w, phi, 7, 40) == 6
+        assert list(weight_iterates(w, phi, 7, max_degree=40))[1] == AnalyticPoly.monomial(3, 0.8)
 
     def test_checks_run_when_the_stream_is_made(self):
         w = WeightSymbol.from_coeffs([1.0])
@@ -47,13 +46,29 @@ class TestStream:
             weight_iterates(w, affine_fixing_one(0.5), 5)  # not validated
         with pytest.raises(ValueError):
             weight_iterates(w, validated(0.5), 0)
+        phi = SelfMapSymbol.polynomial(AnalyticPoly([0.25, 0.5, 0.25]))
+        assert validate_self_map(phi)
+        for make in (lambda: weight_iterates(w, phi, 1), lambda: compositions(w.poly, phi, 5),
+                     lambda: phi.iterates(5)):
+            with pytest.raises(ValueError, match="degree cap"):
+                make()
+
+    def test_polynomial_compositions_match_the_capped_iterates(self):
+        phi = SelfMapSymbol.polynomial(AnalyticPoly([0.25, 0.5, 0.25]))
+        assert validate_self_map(phi)
+        f = AnalyticPoly([1, 2, 3])
+        rows = list(compositions(f, phi, 12, max_degree=40))
+        assert len(rows) == 12
+        for n, row in enumerate(rows, start=1):
+            want = phi.iterate(n, max_degree=40).compose_into(f, max_degree=40).coeffs
+            assert np.array_equal(row.view(np.int64), want.view(np.int64))
 
     def test_weight_norms_agree_with_the_orbit_of_one(self):
         # The weight norms and the orbit of f = 1 read two streams of w(n).
         phi = validated(0.25)
         op = WeightedCompOp(WeightSymbol.from_coeffs([0, 0.9]), phi)
         for max_degree in (None, 30):
-            weights = weight_norm_sequence(weight_iterates(op.w, phi, 60, max_degree), Hardy(2))
+            weights = weight_norm_sequence(op, Hardy(2), 60, max_degree)
             orbit = orbit_norm_sequence(op, AnalyticPoly.one(), Hardy(2), 60, max_degree)
             assert np.array_equal(weights.values, orbit.values)
             assert weights.truncated == orbit.truncated == (max_degree is not None)
@@ -129,17 +144,17 @@ class TestMemory:
     def test_stored_iterates_would_show(self):
         tracemalloc.start()
         try:
-            pairs = weight_iterate_sequence(WeightSymbol.from_coeffs([0, 0.9]),
-                                            validated(0.9999), 2000)
+            stored = weight_iterate_sequence(WeightSymbol.from_coeffs([0, 0.9]),
+                                             validated(0.9999), 2000)
             peak = tracemalloc.get_traced_memory()[1] / MB
         finally:
             tracemalloc.stop()
-        assert len(pairs) == 2000 and peak > 20
-        assert len(pairs[-1][0].coeffs) == 2001
+        assert len(stored) == 2000 and peak > 20
+        assert len(stored[-1].coeffs) == 2001
 
     def test_stored_iterates_are_trimmed(self):
-        pairs = weight_iterate_sequence(WeightSymbol.from_coeffs([0, 0.9]), validated(0.3), 2000)
-        assert sum(wn.coeffs.nbytes for wn, _ in pairs) / MB < 4
+        stored = weight_iterate_sequence(WeightSymbol.from_coeffs([0, 0.9]), validated(0.3), 2000)
+        assert sum(wn.coeffs.nbytes for wn in stored) / MB < 4
 
     def test_orbit_peak(self):
         op = WeightedCompOp(WeightSymbol.from_coeffs([0, 0.9]), validated(0.9999))
@@ -160,3 +175,18 @@ class TestMemory:
         peak = _peak_mb(["classify", *SYMBOLS, "--space", "h2", "--horizon", "2000",
                          "--candidates", "s=-0.3", "--out", str(tmp_path / "v.json")])
         assert peak < 4
+
+    # phi = ((1 + z)/2)^2 under the cap 256: a capped phi^n takes up to
+    # 16 * 257 bytes, so 1000 of them stored would pass the bound alone.
+    # Streamed, the runs peak at about 1.7 MB (orbit) and 0.9 MB (weights).
+    POLY = ["--w", "0.9*z", "--phi-poly", "0.25,0.5,0.25", "--max-degree", "256",
+            "--horizon", "1000"]
+
+    def test_polynomial_orbit_peak(self, tmp_path):
+        peak = _peak_mb(["orbit", *self.POLY, "--poly-coeffs", "1,2,3",
+                         "--out", str(tmp_path / "o.csv")])
+        assert peak < 3
+
+    def test_polynomial_weights_peak(self, tmp_path):
+        peak = _peak_mb(["weights", *self.POLY, "--out", str(tmp_path / "w.csv")])
+        assert peak < 3
