@@ -22,7 +22,7 @@ from .chaos import (DEFAULT_EPSILON, DEFAULT_GROWTH_FACTOR, DEFAULT_HORIZON, Cha
                     check_thresholds, eigen_residual, fit_window, growth_rate_fit,
                     sequence_stats)
 from .experiments import (DEFAULT_DEGREE, SCHEMA_VERSION, ClassifyResult, ExperimentConfig,
-                          build_operator, candidate_orbit, parse_candidate,
+                          _scalar, build_operator, candidate_orbit, parse_candidate,
                           run_classify, sweep_task)
 from .operators import NormSequence, orbit_norm_sequence, weight_norm_sequence
 from .series import AnalyticPoly
@@ -130,7 +130,7 @@ def _config_from_args(args) -> ExperimentConfig:
         candidates = ExperimentConfig().candidates
     phi_poly = None
     if getattr(args, "phi_poly", None):
-        phi_poly = [float(p) for p in args.phi_poly.split(",")]
+        phi_poly = [_scalar(p) for p in args.phi_poly.split(",")]
     return ExperimentConfig(
         weight=args.w,
         phi_affine=None if phi_poly is not None else args.phi_affine,

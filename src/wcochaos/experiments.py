@@ -121,6 +121,8 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         d = asdict(self)
         d["candidates"] = [{"s": _num_to_json(c["s"]), "k": c["k"]} for c in self.candidates]
+        if self.phi_poly is not None:
+            d["phi_poly"] = [_num_to_json(c) for c in self.phi_poly]
         d["schema_version"] = SCHEMA_VERSION
         return d
 

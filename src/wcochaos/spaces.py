@@ -18,16 +18,19 @@ stream of polynomials, such as the weight iterates of a long horizon, in
 zero-padded blocks of at most BLOCK_BYTES with one kernel call per block.
 
 Every grid and order follows from the space and the polynomial alone.
-Quadrature cost is mostly inverse FFTs.  Angular grids start at a 5-smooth
-length (2^a 3^b 5^c, looked up in a sorted table), where numpy's FFT is
-fast, and doubling keeps them 5-smooth.  Hardy doubling is nested: the
-doubled grid is the old grid plus its half-step offset, so only the offset
-samples are new.  The Gauss-Jacobi radial rule is cached per (order,
-beta), and scipy.special, which supplies it, is imported on first use.  A
-Bergman row at radius r sees the coefficients damped by r^k, so it keeps
-only the first K terms whose dropped tail lies below 2^-53 of a lower bound
-on the row's mean, on a grid sized for degree K; rows with similar K share
-batched FFTs of at most BERGMAN_CHUNK_POINTS points.
+Quadrature cost is mostly FFTs: inverse FFTs, except that A^p_beta rows
+with real coefficients take a real FFT and read the grid mean off its
+half spectrum, since |f| is then even in the angle.  Angular grids start
+at a 5-smooth length (2^a 3^b 5^c, looked up in a sorted table), where
+numpy's FFT is fast, and doubling keeps them 5-smooth.  Hardy doubling
+is nested: the doubled grid is the old grid plus its half-step offset, so
+only the offset samples are new.  The Gauss-Jacobi radial rule is cached
+per (order, beta), and scipy.special, which supplies it, is imported on
+first use.  A Bergman row at radius r sees the coefficients damped by
+r^k, so it keeps only the first K terms whose dropped tail lies below
+2^-53 of a lower bound on the row's mean, on a grid sized for degree K;
+rows with similar K share batched FFTs of at most BERGMAN_CHUNK_POINTS
+points.
 """
 
 from __future__ import annotations
@@ -346,6 +349,12 @@ def _bergman_mean(c: np.ndarray, p: float, beta: float, order: int, grid: int,
     # whole row on the full grid.  Rows of one rung share batched FFTs of at
     # most BERGMAN_CHUNK_POINTS points each; every row is transformed and
     # averaged on its own, so the chunking does not change the value.
+    # A real row has |f(e^-it)| = |f(e^it)|, so its rfft's m//2 + 1 points
+    # carry the whole grid: point 0, the Nyquist point of an even m and the
+    # (m-1)//2 mirrored pairs between them.
+    real = not c.imag.any()
+    if real:
+        c = c.real
     r, wq = _radial_rule(order, beta)
     short = _RUNGS[_RUNGS < len(c)]
     lengths = _auto_grid(short, p) * scale
@@ -360,8 +369,12 @@ def _bergman_mean(c: np.ndarray, p: float, beta: float, order: int, grid: int,
         for i in range(0, len(members), step):
             rows = members[i : i + step]
             block = r[rows, None] ** np.arange(k) * c[:k]
-            vals = np.fft.ifft(block, n=m, axis=1) * m
-            angular[rows] = np.mean(np.abs(vals) ** p, axis=1)
+            if real:
+                a = np.abs(np.fft.rfft(block, n=m, axis=1)) ** p
+                angular[rows] = (np.sum(a, axis=1) + np.sum(a[:, 1 : (m + 1) // 2], axis=1)) / m
+            else:
+                vals = np.fft.ifft(block, n=m, axis=1) * m
+                angular[rows] = np.mean(np.abs(vals) ** p, axis=1)
     return float((beta + 1.0) * 2.0 ** (-(beta + 1.0)) * np.dot(wq, angular))
 
 
@@ -380,8 +393,11 @@ def quad_norm_bergman_p(f: AnalyticPoly, p: float, beta: float) -> float:
     max_{k<K}|c_k| r^k, a lower bound on the row's L^p mean.  The row's
     angular grid is then sized for degree K (at least 4K+1 points, or p*K+1
     for even p) rather than for deg f, and doubles with the full grid.
-    Where |f|^p would leave the normal doubles, f is scaled by a power of
-    two first.
+    Real coefficients give |f(e^{-it})| = |f(e^{it})|, so each row of a
+    real f is transformed by rfft and its m//2 + 1 points, the interior ones
+    counted twice, give the mean over all m; complex f takes the full
+    inverse FFT.  Where |f|^p would leave the normal doubles, f is scaled by
+    a power of two first.
     """
     if not (1.0 < p < math.inf):
         raise ValueError("Bergman exponent must satisfy 1 < p < inf")

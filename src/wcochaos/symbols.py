@@ -139,7 +139,8 @@ class SelfMapSymbol:
         if self.kind == "affine":
             raise ValueError("affine symbols iterate in closed form, not by recurrence")
         if max_degree is None:
-            raise ValueError("polynomial symbols need an explicit degree cap to iterate")
+            raise ValueError("polynomial symbols need an explicit degree cap to iterate "
+                             "(--max-degree, or max_degree in a config)")
         return self._capped_iterates(horizon, max_degree)
 
     def _capped_iterates(self, horizon: int, max_degree: int):

@@ -242,6 +242,32 @@ class TestClassifyCommand:
             assert doc[key]["citation"].endswith(
                 "; orbit 0 not scanned: computed under the degree cap")
 
+    # A constant weight keeps every norm row real; 0.9*z under the complex
+    # map makes complex weight iterates, which take the complex quadrature.
+    @pytest.mark.parametrize("weight", ["0.5", "0.9*z"])
+    def test_complex_phi_poly_flag_matches_the_config_file(self, tmp_path, weight):
+        common = ["--space", "bergman:3:0.5", "--horizon", "3"]
+        flags, from_file = tmp_path / "flags.json", tmp_path / "file.json"
+        assert main(["classify", "--w", weight, "--phi-poly", "0.1,0.3j,0.4",
+                     "--max-degree", "100", *common, "--out", str(flags)]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"weight": weight, "phi_affine": None,
+                                   "phi_poly": [0.1, [0, 0.3], 0.4], "max_degree": 100,
+                                   "space": "bergman:3:0.5", "horizon": 3}))
+        assert main(["classify", "--config", str(cfg), "--out", str(from_file)]) == 0
+        a, b = json.loads(flags.read_text()), json.loads(from_file.read_text())
+        for key in ("li_yorke", "mean_li_yorke"):
+            assert a[key]["config"]["phi_poly"] == [0.1, [0.0, 0.3], 0.4]
+            for field in ("kind", "citation", "growth_witness", "decay_witness"):
+                assert a[key][field] == b[key][field]
+
+    def test_polynomial_map_without_a_cap_names_the_flag(self, capsys):
+        rc = main(["weights", "--w", "0.9*z", "--phi-poly", "0.5,0.5", "--horizon", "5"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: polynomial symbols need an explicit degree cap to iterate "
+            "(--max-degree, or max_degree in a config)\n")
+
     def test_self_map_leaving_the_disk_is_refused(self, capsys):
         # The grid maximum is 0.9 on 256 points, the sup 1.0817.
         coeffs = ["0"] * 257

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from scipy.special import gammaln, roots_jacobi
 
@@ -316,14 +316,19 @@ class TestTruncatedBergmanRows:
     @pytest.mark.parametrize("degree", [256, 1024])
     @pytest.mark.parametrize("p", [3, 4])
     def test_each_row_in_one_rung_with_enough_terms_and_points(self, degree, p, monkeypatch):
+        # The rows are real, so they go through the half-spectrum rfft.
         calls = []
-        ifft = np.fft.ifft
+        rfft = np.fft.rfft
 
         def recording(a, n=None, axis=-1, **kwargs):
             calls.append((np.array(a), n))
-            return ifft(a, n=n, axis=axis, **kwargs)
+            return rfft(a, n=n, axis=axis, **kwargs)
 
-        monkeypatch.setattr(np.fft, "ifft", recording)
+        def refuse(*args, **kwargs):
+            raise AssertionError("a real row took the complex inverse FFT")
+
+        monkeypatch.setattr(np.fft, "rfft", recording)
+        monkeypatch.setattr(np.fft, "ifft", refuse)
         c = binomial_series(-0.2, degree).coeffs  # c_1 = 0.2 identifies each row
         grid0 = spaces._auto_grid(degree, p)
         for order, scale in ((128, 1), (256, 2)):
@@ -364,6 +369,97 @@ class TestTruncatedBergmanRows:
         # One row of the full grid (up to 2160 points here) fits, two do not.
         assert sizes and max(sizes) <= 5000 and len(sizes) > 20
         assert chunked == unchunked
+
+    @pytest.mark.parametrize("p", [1.5, 3])
+    def test_real_rungs_split_into_bounded_chunks(self, p, monkeypatch):
+        g = _zero_free_poly(120)  # real coefficients: the half-spectrum path
+        unchunked = {"quad": quad_norm_bergman_p(g, p, 0.5),
+                     "mean": spaces._bergman_mean(g.coeffs, p, 0.5, 256, 1080, 2)}
+        sizes = []
+        rfft = np.fft.rfft
+
+        def recording(a, n=None, axis=-1, **kwargs):
+            sizes.append(np.shape(a)[0] * n)
+            return rfft(a, n=n, axis=axis, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", recording)
+        monkeypatch.setattr(spaces, "BERGMAN_CHUNK_POINTS", 5000)
+        chunked = {"quad": quad_norm_bergman_p(g, p, 0.5),
+                   "mean": spaces._bergman_mean(g.coeffs, p, 0.5, 256, 1080, 2)}
+        # Sizes count full-grid points, rows times m, as the chunk bound does.
+        assert sizes and max(sizes) <= 5000 and len(sizes) > 20
+        assert chunked == unchunked
+
+
+def real_polys(min_degree, max_degree):
+    """Real polynomials whose constant term outweighs the rest, so that they
+    have no zeros in the closed disk: a zero near the circle makes the rules
+    double for seconds, on either path alike.  Subnormal coefficients are
+    left out: rotating one rounds it to a coarser grid, so f and f o rho
+    would no longer be the same function."""
+    coeffs = st.floats(-1, 1, allow_subnormal=False)
+    return st.lists(coeffs, min_size=min_degree, max_size=max_degree).map(
+        lambda cs: AnalyticPoly([1 + sum(map(abs, cs))] + cs))
+
+
+def _rotated(f, p, step):
+    """f o rho for rho(z) = e^{i theta} z, coefficients c_k e^{i k theta},
+    with theta = 2 pi q / m0 a whole number of steps of the starting grid
+    m0 of f in the p rules, and 0 < theta < pi.
+
+    A general angle moves the quadrature nodes and changes a converged rule
+    by up to its tolerance (2e-10 relative was seen in H^1.5 on these
+    polynomials).  This one permutes every nested Hardy grid and the full
+    A^p_beta grid, so only rounding separates the two values; the
+    truncated A^p_beta rows sit on shorter grids, but at radii where the
+    rule is exact to rounding.
+    """
+    m0 = spaces._auto_grid(f.trimmed().degree, p)
+    theta = 2 * math.pi * (1 + step % ((m0 - 1) // 2)) / m0
+    return AnalyticPoly(f.coeffs * np.exp(1j * theta * np.arange(len(f.coeffs))))
+
+
+steps = st.integers(0, 10**6)
+
+
+class TestRealRowsAgainstRotations:
+    """A rotation is an isometry of every space here.  A real-coefficient f
+    takes the half-spectrum path of the A^p_beta rule, and f o rho, whose
+    coefficients are complex, takes the full inverse FFT."""
+
+    @pytest.mark.parametrize("beta", [-0.5, 0.5])
+    @pytest.mark.parametrize("p", [1.5, 3])
+    @given(f=real_polys(0, 60), step=steps)
+    @settings(max_examples=25, deadline=None)
+    def test_bergman_norm(self, p, beta, f, step):
+        assert quad_norm_bergman_p(_rotated(f, p, step), p, beta) == pytest.approx(
+            quad_norm_bergman_p(f, p, beta), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.5, 3])
+    @given(f=real_polys(0, 60), step=steps)
+    @settings(max_examples=25, deadline=None)
+    def test_hardy_norm(self, p, f, step):
+        assert quad_norm_hp(_rotated(f, p, step), p) == pytest.approx(
+            quad_norm_hp(f, p), rel=1e-12)
+
+    @given(f=real_polys(11, 11), step=steps)
+    @settings(max_examples=25, deadline=None)
+    def test_bergman_norm_from_an_odd_grid(self, f, step):
+        # Degree 10 or 11 starts the doubling at m = 45 points.
+        assume(f.trimmed().degree >= 10)
+        assert spaces._auto_grid(f.trimmed().degree, 1.5) == 45
+        assert quad_norm_bergman_p(_rotated(f, 1.5, step), 1.5, 0.5) == pytest.approx(
+            quad_norm_bergman_p(f, 1.5, 0.5), rel=1e-12)
+
+    @pytest.mark.parametrize("m", [45, 48])
+    @pytest.mark.parametrize("p", [1.5, 3])
+    def test_half_spectrum_mean_is_the_grid_mean(self, p, m):
+        # The doubling loop would hide a wrong first mean; this compares
+        # one grid mean on its own, for odd and even m.
+        f = AnalyticPoly(np.random.default_rng(m).uniform(-1, 1, 12))
+        g = AnalyticPoly(f.coeffs * np.exp(2j * math.pi * 7 / m * np.arange(12)))
+        assert spaces._bergman_mean(g.coeffs, p, 0.5, 128, m, 1) == pytest.approx(
+            spaces._bergman_mean(f.coeffs, p, 0.5, 128, m, 1), rel=1e-12)
 
 
 class TestSupBracket:
