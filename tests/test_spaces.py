@@ -246,21 +246,29 @@ class TestQuadratureKernels:
             assert quad_norm_bergman_p(f, p, beta) == pytest.approx(ref, rel=1e-8)
 
     def test_automatic_fft_lengths_are_5_smooth(self, monkeypatch):
-        lengths = []
-        ifft = np.fft.ifft
+        # The Hardy rows reach ifft through eval_on_circle; the Bergman rows
+        # are real, so they reach rfft.
+        lengths = {"ifft": [], "rfft": []}
 
-        def recording(a, n=None, axis=-1, **kwargs):
-            lengths.append(np.shape(a)[axis] if n is None else n)
-            return ifft(a, n=n, axis=axis, **kwargs)
+        def record(name):
+            fft = getattr(np.fft, name)
 
-        monkeypatch.setattr(np.fft, "ifft", recording)
+            def recording(a, n=None, axis=-1, **kwargs):
+                lengths[name].append(np.shape(a)[axis] if n is None else n)
+                return fft(a, n=n, axis=axis, **kwargs)
+            return recording
+
+        for name in lengths:
+            monkeypatch.setattr(np.fft, name, record(name))
         for degree in (100, 257, 433, 600):
             f = binomial_series(-0.2, degree)
             for p in (1.5, 3, 4, 6):
                 quad_norm_hp(f, p)
             for p in (1.5, 3, 4):
                 quad_norm_bergman_p(f, p, 0.5)
-        assert lengths and all(_smooth(m) for m in lengths), sorted(set(lengths))
+        assert lengths["ifft"] and lengths["rfft"]
+        seen = lengths["ifft"] + lengths["rfft"]
+        assert all(_smooth(m) for m in seen), sorted(set(seen))
 
 
 def _smallest_cutoffs(c, r):
@@ -351,41 +359,25 @@ class TestTruncatedBergmanRows:
             assert len(calls) > 1  # some rows were truncated
 
     @pytest.mark.parametrize("p", [1.5, 3])
-    def test_rungs_split_into_bounded_chunks(self, p, monkeypatch):
-        g = AnalyticPoly(_zero_free_poly(120).coeffs * np.exp(0.7j * np.arange(121)))
+    @pytest.mark.parametrize("g, fft", [
+        (AnalyticPoly(_zero_free_poly(120).coeffs * np.exp(0.7j * np.arange(121))), "ifft"),
+        (_zero_free_poly(120), "rfft"),  # real coefficients: the half-spectrum path
+    ], ids=["complex", "real"])
+    def test_rungs_split_into_bounded_chunks(self, g, fft, p, monkeypatch):
         unchunked = {"quad": quad_norm_bergman_p(g, p, 0.5),
                      "mean": spaces._bergman_mean(g.coeffs, p, 0.5, 256, 1080, 2)}
         sizes = []
-        ifft = np.fft.ifft
+        transform = getattr(np.fft, fft)
 
         def recording(a, n=None, axis=-1, **kwargs):
             sizes.append(np.shape(a)[0] * n)
-            return ifft(a, n=n, axis=axis, **kwargs)
+            return transform(a, n=n, axis=axis, **kwargs)
 
-        monkeypatch.setattr(np.fft, "ifft", recording)
+        monkeypatch.setattr(np.fft, fft, recording)
         monkeypatch.setattr(spaces, "BERGMAN_CHUNK_POINTS", 5000)
         chunked = {"quad": quad_norm_bergman_p(g, p, 0.5),
                    "mean": spaces._bergman_mean(g.coeffs, p, 0.5, 256, 1080, 2)}
         # One row of the full grid (up to 2160 points here) fits, two do not.
-        assert sizes and max(sizes) <= 5000 and len(sizes) > 20
-        assert chunked == unchunked
-
-    @pytest.mark.parametrize("p", [1.5, 3])
-    def test_real_rungs_split_into_bounded_chunks(self, p, monkeypatch):
-        g = _zero_free_poly(120)  # real coefficients: the half-spectrum path
-        unchunked = {"quad": quad_norm_bergman_p(g, p, 0.5),
-                     "mean": spaces._bergman_mean(g.coeffs, p, 0.5, 256, 1080, 2)}
-        sizes = []
-        rfft = np.fft.rfft
-
-        def recording(a, n=None, axis=-1, **kwargs):
-            sizes.append(np.shape(a)[0] * n)
-            return rfft(a, n=n, axis=axis, **kwargs)
-
-        monkeypatch.setattr(np.fft, "rfft", recording)
-        monkeypatch.setattr(spaces, "BERGMAN_CHUNK_POINTS", 5000)
-        chunked = {"quad": quad_norm_bergman_p(g, p, 0.5),
-                   "mean": spaces._bergman_mean(g.coeffs, p, 0.5, 256, 1080, 2)}
         # Sizes count full-grid points, rows times m, as the chunk bound does.
         assert sizes and max(sizes) <= 5000 and len(sizes) > 20
         assert chunked == unchunked
